@@ -52,7 +52,6 @@ from .common.errors import (
     SweepError,
     WorkloadError,
 )
-from .sim.cache_only import replay_cache_only
 from .sim.driver import run_program, run_simulation
 from .sim.executor import SweepCell, run_cell, run_cells
 from .sim.results import SimResult
@@ -81,7 +80,6 @@ __all__ = [
     "SimulationError",
     "SweepError",
     "WorkloadError",
-    "replay_cache_only",
     "run_program",
     "run_simulation",
     "SweepCell",

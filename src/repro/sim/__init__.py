@@ -1,6 +1,5 @@
 """Simulation driving, sweeps, results and table formatting."""
 
-from .cache_only import CacheOnlyResult, replay_cache_only
 from .driver import run_program, run_simulation
 from .executor import (
     DiskCache,
@@ -24,8 +23,6 @@ from .sweep import (
 from .tables import TextTable, format_pct, format_ratio
 
 __all__ = [
-    "CacheOnlyResult",
-    "replay_cache_only",
     "run_program",
     "run_simulation",
     "DiskCache",

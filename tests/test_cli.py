@@ -234,7 +234,6 @@ class TestFidelityCli:
         args = build_parser().parse_args(["fidelity", "run"])
         assert args.scale == 2e-4
         assert args.seed == 2003
-        assert args.via == "local"
         assert args.perturb is None
 
     def test_check_parser_defaults(self):
@@ -300,3 +299,37 @@ class TestFidelityCli:
         rc = main(["fidelity", "report", "--dir", str(tmp_path)])
         assert rc == 2
         assert "fidelity report:" in capsys.readouterr().err
+
+
+class TestCacheCli:
+    def test_cache_stats_prints_eviction_totals(self, tmp_path, capsys):
+        assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "evicted : 0 entr(y/ies)" in out
+
+
+class TestReproJobsEnv:
+    """A malformed ``$REPRO_JOBS`` is a usage error, never a silent 1."""
+
+    def test_list_unaffected(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "lots")
+        assert main(["list"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--benchmark", "vpr", "--configs", "vc",
+         "--scale", "2e-5", "--no-cache"],
+        ["suite", "--config", "vc", "--scale", "1e-5", "--no-cache"],
+        ["fidelity", "run", "--scale", "2e-6", "--sections", "fig11",
+         "--no-cache"],
+    ])
+    def test_bad_value_exits_2_naming_it(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("REPRO_JOBS", "lots")
+        assert main(argv) == 2
+        assert "REPRO_JOBS='lots'" in capsys.readouterr().err
+
+    def test_explicit_flag_wins(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "lots")
+        rc = main(["compare", "--benchmark", "vpr", "--configs", "vc",
+                   "--scale", "2e-5", "--tus", "2", "--no-cache",
+                   "--jobs", "1"])
+        assert rc == 0

@@ -17,13 +17,14 @@ import json
 import pytest
 
 from repro import SimParams, named_config
-from repro.common.errors import SweepError
+from repro.common.errors import ConfigError, SweepError
 from repro.sim.executor import (
     DiskCache,
     SweepCell,
     cell_key,
     code_version_token,
     config_fingerprint,
+    default_jobs,
     run_cell,
     run_cells,
 )
@@ -337,6 +338,40 @@ class TestCacheQuota:
         assert cache.get(keys[0]) == result
         assert cache.get(keys[1]) is None
 
+    # -- lifetime totals in the eviction-totals.json sidecar -----------
+
+    def test_prune_updates_sidecar(self, filled):
+        cache, _, _ = filled
+        pruned = cache.prune(self.entry_mb(cache) * 2.5)
+        assert pruned.removed == 4
+        stats = cache.stats()
+        assert stats.prune_passes == 1
+        assert stats.evicted_entries == 4
+        assert stats.evicted_bytes == pruned.freed_bytes
+        assert stats.last_prune_ts is not None
+        assert stats.to_dict()["evicted_entries"] == 4
+
+    def test_sidecar_never_counted_as_an_entry(self, filled):
+        cache, _, _ = filled
+        cache.prune(self.entry_mb(cache) * 1.5)  # writes the sidecar
+        assert cache.stats().entries == 1
+        # A full prune-to-zero must not evict the totals file.
+        cache.prune(0.0)
+        assert cache.eviction_totals()["prune_passes"] == 2
+
+    def test_totals_persist_across_instances(self, filled):
+        cache, keys, result = filled
+        cache.prune(self.entry_mb(cache) * 2.5)
+
+        # A fresh instance sees the lifetime totals and adds to them.
+        cache2 = DiskCache(cache.base)
+        assert cache2.stats().evicted_entries == 4
+        for key in keys:
+            cache2.put(key, result)
+        cache2.prune(self.entry_mb(cache2) * 2.5)
+        assert cache2.stats().evicted_entries == 8
+        assert cache2.stats().prune_passes == 2
+
     def test_prune_without_quota_raises(self, tmp_path):
         from repro.common.errors import ConfigError
 
@@ -344,7 +379,7 @@ class TestCacheQuota:
             DiskCache(tmp_path).prune()
 
     def test_put_autoprunes_under_quota(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_PRUNE_EVERY", "1")
+        monkeypatch.setattr(DiskCache, "PRUNE_INTERVAL", 1)
         probe = DiskCache(tmp_path)
         result = run_cell("175.vpr", named_config("orig"), TINY, cache=False)
         probe.put("00" + "8" * 62, result)
@@ -370,3 +405,23 @@ class TestCacheQuota:
         monkeypatch.setenv("REPRO_CACHE_MAX_MB", "-3")
         with pytest.raises(ConfigError, match="positive"):
             default_cache_quota_mb()
+
+
+class TestDefaultJobs:
+    """``$REPRO_JOBS`` parsing: loud on a malformed value."""
+
+    def test_unset_is_serial(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert default_jobs() == 1
+
+    def test_positive_integer(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        assert default_jobs() == 4
+
+    @pytest.mark.parametrize("raw", ["two", "1.5", "0", "-3"])
+    def test_bad_value_raises_naming_variable_and_value(self, monkeypatch,
+                                                        raw):
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        with pytest.raises(ConfigError) as excinfo:
+            default_jobs()
+        assert f"REPRO_JOBS={raw!r}" in str(excinfo.value)
