@@ -276,9 +276,9 @@ def campaign_sections() -> "OrderedDict[str, Dict[str, MachineConfig]]":
     Labels are unique across sections so the union runs as one
     :func:`run_grid` axis; configurations that coincide with the
     defaults (e.g. ``orig@8tu`` vs ``orig``) keep their own label — the
-    content-addressed cache dedups the actual simulations.  ``fig10``
-    reuses the ``fig09`` grid and ``fig17`` the ``fig11`` grid, so
-    neither declares cells of its own.
+    executor simulates each distinct configuration once per sweep and
+    shares the result.  ``fig10`` reuses the ``fig09`` grid and
+    ``fig17`` the ``fig11`` grid, so neither declares cells of its own.
     """
     sections: "OrderedDict[str, Dict[str, MachineConfig]]" = OrderedDict()
     sections["fig11"] = {name: named_config(name) for name in CONFIG_NAMES}

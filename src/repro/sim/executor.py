@@ -4,7 +4,7 @@ Every figure and ablation in the reproduction is a (benchmark ×
 configuration) grid of *pure* simulations: ``run_program`` is a function
 of ``(benchmark name, MachineConfig, SimParams)`` and nothing else — the
 configuration dataclasses are frozen and every RNG stream is derived
-from ``params.seed``.  This module exploits that purity twice:
+from ``params.seed``.  This module exploits that purity three ways:
 
 * **Process fan-out** — grid cells are independent, so :func:`run_cells`
   distributes them over a ``ProcessPoolExecutor``.  Each worker rebuilds
@@ -24,6 +24,11 @@ from ``params.seed``.  This module exploits that purity twice:
   affected entries; re-running a bench file or tool on unchanged code
   is near-instant.  Set ``REPRO_NO_CACHE=1`` (or pass ``cache=False``)
   to bypass it.
+
+* **In-sweep sharing** — cells under different labels whose keys are
+  equal (the same benchmark, configuration and parameters) are one
+  simulation: among the cache misses of a sweep, the first cell of each
+  key executes and every other cell with that key receives its result.
 
 Observability: :func:`run_cells` returns a :class:`SweepOutcome` whose
 :class:`SweepStats` record per-cell wall-clock, cache hit/miss counts
@@ -353,8 +358,10 @@ class DiskCache:
             fd, tmp = tempfile.mkstemp(
                 dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
             )
+            # One json.dumps, not json.dump: the latter streams through
+            # the pure-Python encoder, about 3x slower on the same bytes.
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(result.to_dict(), fh, default=_json_default)
+                fh.write(json.dumps(result.to_dict(), default=_json_default))
             os.replace(tmp, path)
             tmp = None
         except OSError as exc:
@@ -568,7 +575,10 @@ class CellRecord:
     benchmark: str
     label: str
     key: str
-    source: str  # "cache" | "run"
+    #: ``"cache"`` (a hit), ``"run"`` (simulated here) or ``"shared"``
+    #: (a miss whose key equals a cell simulated in this sweep; it takes
+    #: that cell's result and costs no simulation).
+    source: str
     wall_s: float
     #: Host metrics collected when perf recording is on (``wall_s``,
     #: ``peak_rss_kb``, a ``profile`` section breakdown); None otherwise.
@@ -599,6 +609,9 @@ class SweepStats:
     cache_hits: int = 0
     cache_misses: int = 0
     executed: int = 0
+    #: Cache misses resolved by another cell's simulation with an equal
+    #: key (``executed + shared + failed == cache_misses``).
+    shared: int = 0
     failed: int = 0
     wall_s: float = 0.0
     cache_root: Optional[str] = None
@@ -625,6 +638,7 @@ class SweepStats:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "executed": self.executed,
+            "shared": self.shared,
             "failed": self.failed,
             "wall_s": self.wall_s,
             "cache_root": self.cache_root,
@@ -645,6 +659,7 @@ class SweepStats:
         return (
             f"{self.n_cells} cells: {self.cache_hits} cached, "
             f"{self.executed} simulated ({self.jobs_used} worker(s)), "
+            f"{self.shared} shared, "
             f"{self.failed} failed, {self.wall_s:.1f}s"
         )
 
@@ -682,9 +697,9 @@ def _execute_cell(
 ) -> Tuple[str, object, object]:
     """Run one cell in the current process.
 
-    Returns ``("ok", result_dict, host_dict)`` or ``("err", message,
-    tb)``; exceptions never propagate so that one bad cell cannot take
-    down a worker (or, in the serial path, the rest of the grid).
+    Returns ``("ok", result, host_dict)`` or ``("err", message, tb)``;
+    exceptions never propagate so that one bad cell cannot take down a
+    worker (or, in the serial path, the rest of the grid).
     ``host_dict`` always carries ``wall_s``; with ``profile`` it adds
     the :class:`~repro.obs.hostprof.HostProfiler` section breakdown and
     the process's peak RSS.
@@ -703,10 +718,23 @@ def _execute_cell(
             rss = peak_rss_kb()
             if rss is not None:
                 host["peak_rss_kb"] = rss
-        return ("ok", result.to_dict(), host)
+        return ("ok", result, host)
     # lint: allow(EXC001 worker isolation boundary: one bad cell is reported by key, never kills the sweep)
     except Exception as exc:
         return ("err", f"{type(exc).__name__}: {exc}", traceback.format_exc())
+
+
+def _execute_cell_in_worker(
+    benchmark: str, config: MachineConfig, params: SimParams,
+    profile: bool, engine: str,
+) -> Tuple[str, object, object]:
+    """:func:`_execute_cell` in a pool worker: the result crosses the
+    process boundary as a plain dict (:meth:`SimResult.to_dict`)."""
+    status, first, second = _execute_cell(
+        benchmark, config, params, profile, engine)
+    if status == "ok":
+        first = first.to_dict()  # type: ignore[union-attr]
+    return status, first, second
 
 
 def _fork_available() -> bool:
@@ -759,10 +787,13 @@ def run_cells(
     ----------
     cells:
         The grid cells to resolve.  Result/record order follows cell
-        order regardless of parallel completion order.
+        order regardless of parallel completion order.  Cache misses
+        with equal keys simulate once: the first in cell order runs
+        (record source ``"run"``), the others take its result
+        (``"shared"``) — exactly what a warm rerun would return them.
     jobs:
-        Worker processes for cache-miss cells.  ``1`` (or a platform
-        without ``fork``) runs serially in-process.
+        Worker processes for the distinct cache-miss keys.  ``1`` (or a
+        platform without ``fork``) runs serially in-process.
     cache:
         ``True``/``False`` force the disk cache on/off; ``None`` (the
         default) enables it unless ``REPRO_NO_CACHE`` is set.
@@ -771,7 +802,8 @@ def run_cells(
         ``~/.cache/repro``).
     progress:
         Called once per cell with ``(benchmark, label)`` — before the
-        run in serial mode, on completion in parallel mode.
+        run in serial mode, on completion in parallel mode; a shared
+        cell is reported when the result it shares arrives.
     manifest_path:
         If given, the JSON run manifest is written there.
     strict:
@@ -779,12 +811,14 @@ def run_cells(
         :class:`~repro.common.errors.SweepError` *after* the whole grid
         has been attempted; the error names each failing cell's grid key
         and carries the partial :class:`SweepOutcome`.  ``False`` returns
-        the outcome with ``stats.failures`` populated instead.
+        the outcome with ``stats.failures`` populated instead.  A failed
+        simulation fails every cell that shares its key, each reported
+        under its own grid key.
     perf:
         ``True``/``False`` force performance recording on/off; ``None``
         (the default) enables it when ``$REPRO_PERF_DIR`` is set.  When
         on, every *executed* cell (never a cache hit — its wall time
-        would measure a disk read) runs with a
+        would measure a disk read — nor a shared cell) runs with a
         :class:`~repro.obs.hostprof.HostProfiler` attached and appends a
         :class:`~repro.obs.ledger.PerfRecord` to the ledger, including
         the speedup vs an ``orig``-labelled cell of the same benchmark
@@ -826,10 +860,18 @@ def run_cells(
     results: Dict[Tuple[str, str], SimResult] = {}
     records: Dict[Tuple[str, str], CellRecord] = {}
 
-    def ingest(cell: SweepCell, key: str, payload: Tuple[str, object, object]) -> None:
+    # Cache misses grouped by key, in cell order: the first cell of each
+    # group executes, the rest share its result (see ingest).
+    pending: Dict[str, List[SweepCell]] = {}
+
+    def ingest(key: str, payload: Tuple[str, object, object]) -> None:
         status, first, second = payload
+        cell, *sharers = pending[key]
+        if progress is not None:
+            for other in sharers:
+                progress(other.benchmark, other.label)
         if status == "ok":
-            result = SimResult.from_dict(first)  # type: ignore[arg-type]
+            result: SimResult = first  # type: ignore[assignment]
             host: Dict = dict(second)  # type: ignore[arg-type]
             results[cell.grid_key] = result
             records[cell.grid_key] = CellRecord(
@@ -839,14 +881,23 @@ def run_cells(
             stats.executed += 1
             if dcache is not None:
                 dcache.put(key, result)
+            for other in sharers:
+                results[other.grid_key] = result
+                records[other.grid_key] = CellRecord(
+                    other.benchmark, other.label, key, "shared", 0.0
+                )
+                stats.shared += 1
         else:
-            stats.failed += 1
-            stats.failures.append(
-                CellFailure(cell.benchmark, cell.label, key, str(first), str(second))
-            )
+            # A failed simulation fails every grid key that shares it,
+            # each reported under its own label.
+            for failed in (cell, *sharers):
+                stats.failed += 1
+                stats.failures.append(CellFailure(
+                    failed.benchmark, failed.label, key,
+                    str(first), str(second),
+                ))
 
     # Phase 1: cache lookups (always in-process — lookups are cheap).
-    to_run: List[Tuple[SweepCell, str]] = []
     for cell in cells:
         key = cell.key()
         hit = dcache.get(key) if dcache is not None else None
@@ -860,7 +911,8 @@ def run_cells(
             stats.cache_hits += 1
         else:
             stats.cache_misses += 1
-            to_run.append((cell, key))
+            pending.setdefault(key, []).append(cell)
+    to_run = [(group[0], key) for key, group in pending.items()]
 
     # Phase 2: execute the misses — fanned out or serial.  A ``jobs > 1``
     # request that cannot be honoured is recorded in the manifest and
@@ -927,8 +979,8 @@ def run_cells(
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=stats.jobs_used, mp_context=ctx) as pool:
             futures = {
-                pool.submit(_execute_cell, cell.benchmark, cell.config,
-                            cell.params, perf_on, engine):
+                pool.submit(_execute_cell_in_worker, cell.benchmark,
+                            cell.config, cell.params, perf_on, engine):
                 (cell, key)
                 for cell, key in to_run
             }
@@ -937,18 +989,21 @@ def run_cells(
                 if progress is not None:
                     progress(cell.benchmark, cell.label)
                 try:
-                    payload = future.result()
+                    status, first, second = future.result()
+                    if status == "ok":
+                        first = SimResult.from_dict(first)
+                    payload = (status, first, second)
                 # lint: allow(EXC001 pool/pickling breakage surfaces as a per-cell failure, not a dead sweep)
                 except Exception as exc:
                     payload = ("err", f"{type(exc).__name__}: {exc}",
                                traceback.format_exc())
-                ingest(cell, key, payload)
+                ingest(key, payload)
     else:
         stats.jobs_used = 1
         for cell, key in to_run:
             if progress is not None:
                 progress(cell.benchmark, cell.label)
-            ingest(cell, key,
+            ingest(key,
                    _execute_cell(cell.benchmark, cell.config, cell.params,
                                  perf_on, engine))
 

@@ -53,7 +53,7 @@ __all__ = ["run_program_fast"]
 # is the same under every memory-system configuration: wrong-path and
 # wrong-thread loads never touch the predictor or BTB, and the
 # iteration-to-TU schedule depends only on the program and n_tus.  The
-# first run of a sweep grid records, per execute() call, the branch
+# first run of a sweep grid records, per iteration or chunk, the branch
 # outcomes ``(n_branches, btb_target_misses, mispredicted_indices)``;
 # every later configuration replays them, skipping predictor/BTB
 # simulation entirely.  Keyed like the compile memo: id(program) with a
@@ -62,7 +62,7 @@ _BRANCH_STREAMS: Dict[
     int, Tuple["weakref.ref", Dict[tuple, List[tuple]]]
 ] = {}
 
-# One record per execute() call: ``[n_branches, btb_target_misses,
+# One record per iteration or chunk: ``[n_branches, btb_target_misses,
 # mispredicted_indices, wp_events, mem_events]``.  The last two slots
 # cache the replayed event lists (lazily filled on first use): the
 # execute order of a run is deterministic, so record ``i`` always
@@ -231,7 +231,7 @@ class _FastTU:
         self.l1i_bits = i.block_bits
         # Warm-prefix state for the i-fetch shortcut: the region whose
         # code this TU fetched last, and how many of its leading code
-        # blocks are known resident-and-MRU (see execute()).
+        # blocks are known resident-and-MRU (see _fetch_code()).
         self.l1i_rid = -1
         self.l1i_warm_n = 0
         kind = tu.sidecar.kind
@@ -247,8 +247,9 @@ class _FastTU:
         self.mb_arrived: set = set()
         self.mb_cap = tu.mem_buffer_entries
         if tu.branch.kind == "bimodal":
-            # Inlined in execute(): a bimodal predictor is one table of
-            # 2-bit saturating counters, cheap to keep as a flat list.
+            # Inlined in the event loops: a bimodal predictor is one
+            # table of 2-bit saturating counters, cheap to keep as a
+            # flat list.
             self.predictor = None
             self.bp_table = [2] * (1 << tu.branch.table_bits)
             self.bp_mask = (1 << tu.branch.table_bits) - 1
@@ -272,7 +273,7 @@ class _FastTU:
         # policy-specific path (flag clearing, late charge, chained
         # prefetch).  A hit with none of these bits set behaves the same
         # under every policy — refresh, count, 1 cycle — and is inlined
-        # in execute(); flagged hits drop into the policy method.
+        # in the event loops; flagged hits drop into the policy method.
         if kind is SidecarKind.WEC:
             self.load_correct = self._load_correct_wec
             self.store_correct = self._store_correct_sidecar
@@ -971,6 +972,61 @@ class _FastTU:
         s[block] = 0
         return 1 + latency
 
+    # lint: allow(ENG002 i-fetch pass over a region's code footprint: the oracle's per-instruction fetch loop collapsed to its first pass; its counters fuse with the tagged _ifetch it falls back to)
+    def _fetch_code(self, info: _RegionInfo, count: int) -> int:
+        """Fetch an iteration's ``count`` code blocks; returns the stall.
+
+        The oracle touches max(1, n_instr // 16) consecutive 64-byte code
+        blocks cyclically over the region's footprint.  With the
+        footprint within one L1I pass (block i in set i mod n_sets — all
+        distinct), only the first pass can miss; repeats hit the
+        just-touched MRU block with zero stall and no net LRU movement.
+        Across calls we extend the shortcut with a warm prefix: this
+        TU's L1I is touched by nothing but its own fetches, so once it
+        has fetched the first ``warm_n`` blocks of a region (and no other
+        region since), those blocks are still resident and
+        MRU-in-their-set — re-touching them is a hit and a no-op LRU
+        refresh, skippable entirely.
+        """
+        m = self.m
+        comp = info.compiled
+        ifetch_stall = 0
+        if info.ifetch_fast:
+            m["ifetches"] += count
+            footprint = comp.ifetch_footprint
+            lim = count if count < footprint else footprint
+            rid = id(info)
+            if self.l1i_rid != rid:
+                self.l1i_rid = rid
+                self.l1i_warm_n = 0
+            if lim > self.l1i_warm_n:
+                base_block = comp.ifetch_base_block
+                l1i_sets = self.l1i_sets
+                l1i_mask = self.l1i_mask
+                for j in range(self.l1i_warm_n, lim):
+                    block = base_block + j
+                    s = l1i_sets[block & l1i_mask]
+                    flags = s.get(block)
+                    if flags is not None:
+                        del s[block]
+                        s[block] = flags
+                    else:
+                        m["l1i_misses"] += 1
+                        latency = self.l2.read(block << self.l1i_bits)
+                        if len(s) >= self.l1i_assoc:
+                            del s[next(iter(s))]
+                        s[block] = 0
+                        ifetch_stall += latency
+                self.l1i_warm_n = lim
+        else:
+            self.l1i_rid = -1
+            self.l1i_warm_n = 0
+            base = info.code_base
+            footprint = comp.ifetch_footprint
+            for j in range(count):
+                ifetch_stall += self._ifetch(base + (j % footprint) * 64) - 1
+        return ifetch_stall
+
     # -- coherence hook ------------------------------------------------
 
     # parity: repro.mem.hierarchy.TUMemSystem.bus_update
@@ -1017,62 +1073,15 @@ class _FastTU:
     # -- iteration execution -------------------------------------------
 
     # lint: allow(ENG002 dispatch loop: its counters are per-iteration bookkeeping spread across the oracle pipeline, not a single method transcription; every memory counter fuses under the tagged load/store handlers it calls)
-    def execute(self, info: _RegionInfo, index: int, trace, sequential: bool,
+    def execute(self, info: _RegionInfo, index: int, trace,
                 upstream_targets: Optional[List[int]]):
-        """Replay one iteration/chunk; returns its four stage cycles."""
+        """Replay one parallel-region iteration; returns its four stage cycles."""
         eng = self.eng
         path = trace.path
         comp = info.compiled
         m = self.m
         mb = self.mb
-
-        # Instruction fetch.  The oracle touches max(1, n_instr // 16)
-        # consecutive 64-byte code blocks cyclically over the region's
-        # footprint.  With the footprint within one L1I pass (block i in
-        # set i mod n_sets — all distinct), only the first pass can miss;
-        # repeats hit the just-touched MRU block with zero stall and no
-        # net LRU movement.  Across executes we extend the shortcut with
-        # a warm prefix: this TU's L1I is touched by nothing but its own
-        # fetches, so once it has fetched the first ``warm_n`` blocks of
-        # a region (and no other region since), those blocks are still
-        # resident and MRU-in-their-set — re-touching them is a hit and
-        # a no-op LRU refresh, skippable entirely.
-        count = path.ifetch_count
-        ifetch_stall = 0
-        if info.ifetch_fast:
-            m["ifetches"] += count
-            footprint = comp.ifetch_footprint
-            lim = count if count < footprint else footprint
-            rid = id(info)
-            if self.l1i_rid != rid:
-                self.l1i_rid = rid
-                self.l1i_warm_n = 0
-            if lim > self.l1i_warm_n:
-                base_block = comp.ifetch_base_block
-                l1i_sets = self.l1i_sets
-                l1i_mask = self.l1i_mask
-                for j in range(self.l1i_warm_n, lim):
-                    block = base_block + j
-                    s = l1i_sets[block & l1i_mask]
-                    flags = s.get(block)
-                    if flags is not None:
-                        del s[block]
-                        s[block] = flags
-                    else:
-                        m["l1i_misses"] += 1
-                        latency = self.l2.read(block << self.l1i_bits)
-                        if len(s) >= self.l1i_assoc:
-                            del s[next(iter(s))]
-                        s[block] = 0
-                        ifetch_stall += latency
-                self.l1i_warm_n = lim
-        else:
-            self.l1i_rid = -1
-            self.l1i_warm_n = 0
-            base = info.code_base
-            footprint = comp.ifetch_footprint
-            for j in range(count):
-                ifetch_stall += self._ifetch(base + (j % footprint) * 64) - 1
+        ifetch_stall = self._fetch_code(info, path.ifetch_count)
 
         if upstream_targets is not None:
             up = self.mb_upstream
@@ -1085,10 +1094,7 @@ class _FastTU:
         mispredicts = 0
         wrong_loads = 0
         wrong_fill_lat = 0.0
-        future_loads = None
         wrong_path = self.wrong_path
-        if wrong_path and sequential:
-            future_loads = comp.trace(eng.streams, eng.seed, index + 1).load_addrs
         load_addrs = trace.load_addrs
         store_addrs = trace.store_addrs
         branch_pcs = path.branch_pcs
@@ -1161,13 +1167,12 @@ class _FastTU:
         for kind, idx in events:
             if kind == EV_LOAD:
                 value = load_addrs[idx]
-                if not sequential:
-                    if value in mb_stores:
-                        mb["local_forwards"] += 1
-                    elif value in mb_upstream:
-                        mb["dependence_hits"] += 1
-                        if value not in mb_arrived:
-                            mb["dependence_stalls"] += 1
+                if value in mb_stores:
+                    mb["local_forwards"] += 1
+                elif value in mb_upstream:
+                    mb["dependence_hits"] += 1
+                    if value not in mb_arrived:
+                        mb["dependence_stalls"] += 1
                 block = value >> l1d_bits
                 s = l1d[block & l1d_mask]
                 f = s.get(block)
@@ -1187,8 +1192,7 @@ class _FastTU:
                     # the same event position the live resolve would.
                     burst = 0
                     for a in comp.wrong_path_addrs(
-                        eng.streams, eng.seed, trace, idx, index,
-                        future_loads,
+                        eng.streams, eng.seed, trace, idx, index, None
                     ):
                         wrong_fill_lat += load_wrong(a) - 1
                         burst += 1
@@ -1235,56 +1239,40 @@ class _FastTU:
                     if wrong_path:
                         burst = 0
                         for a in comp.wrong_path_addrs(
-                            eng.streams, eng.seed, trace, idx, index, future_loads
+                            eng.streams, eng.seed, trace, idx, index, None
                         ):
                             wrong_fill_lat += load_wrong(a) - 1
                             burst += 1
                         wrong_loads += burst
-            else:  # store / target store
+            else:  # store / target store: into the memory buffer
                 value = store_addrs[idx]
-                if sequential:
-                    block = value >> l1d_bits
-                    s = l1d[block & l1d_mask]
-                    f = s.get(block)
-                    if f is not None:
-                        # Store hit: refresh + mark dirty, 1 cycle —
-                        # identical under every policy.
-                        del s[block]
-                        s[block] = f | DIRTY
-                        stores_n += 1
-                        hits_n += 1
-                    else:
-                        store_stall += store_correct(value) - 1
-                    eng.sequential_store(self.tu_id, value)
+                if len(mb_stores) >= self.mb_cap and value not in mb_stores:
+                    mb["overflows"] += 1
                 else:
-                    if len(mb_stores) >= self.mb_cap and value not in mb_stores:
-                        mb["overflows"] += 1
-                    else:
-                        mb_stores[value] = (
-                            mb_stores.get(value, False) or kind == EV_TSTORE
-                        )
-                        buffered_n += 1
+                    mb_stores[value] = (
+                        mb_stores.get(value, False) or kind == EV_TSTORE
+                    )
+                    buffered_n += 1
 
         if wrong_fill_lat and self.wrong_fill_charge:
             load_stall += wrong_fill_lat * self.wrong_fill_charge
 
-        if not sequential:
-            committed = list(mb_stores.items())
-            mb["writebacks"] += 1
-            mb_stores.clear()
-            mb_upstream.clear()
-            mb_arrived.clear()
-            for addr, _is_target in committed:
-                block = addr >> l1d_bits
-                s = l1d[block & l1d_mask]
-                f = s.get(block)
-                if f is not None:
-                    del s[block]
-                    s[block] = f | DIRTY
-                    stores_n += 1
-                    hits_n += 1
-                else:
-                    store_stall += store_correct(addr) - 1
+        committed = list(mb_stores.items())
+        mb["writebacks"] += 1
+        mb_stores.clear()
+        mb_upstream.clear()
+        mb_arrived.clear()
+        for addr, _is_target in committed:
+            block = addr >> l1d_bits
+            s = l1d[block & l1d_mask]
+            f = s.get(block)
+            if f is not None:
+                del s[block]
+                s[block] = f | DIRTY
+                stores_n += 1
+                hits_n += 1
+            else:
+                store_stall += store_correct(addr) - 1
 
         if loads_n:
             m["loads"] += loads_n
@@ -1309,8 +1297,7 @@ class _FastTU:
                 bp["btb_target_misses"] += btb_tm_n
 
         core = self.core
-        key = "iterations" if not sequential else "chunks"
-        core[key] = core.get(key, 0) + 1
+        core["iterations"] += 1
         core["instructions"] += path.n_instr
         if wrong_loads:
             core["wrong_path_loads"] += wrong_loads
@@ -1329,6 +1316,238 @@ class _FastTU:
         comp_c += mem_stall + branch_stall + float(ifetch_stall)
         wb += store_w
         return cont, tsag, comp_c, wb
+
+    # lint: allow(ENG002 sequential-region driver: replays one invocation's chunks in a single frame; its counters are the per-chunk bookkeeping execute() keeps per iteration, and every memory counter fuses under the tagged load/store handlers and the bus probe it calls)
+    def run_sequential(self, info: _RegionInfo, lo: int, hi: int) -> float:
+        """Replay chunks ``[lo, hi)`` of a sequential region; returns its cycles.
+
+        A sequential region runs on this (head) unit alone, so one frame
+        covers the whole invocation: invariant locals are hoisted out of
+        the chunk loop, and the trace fetched as chunk ``c``'s wrong-path
+        lookahead is reused as chunk ``c + 1``'s own.  Stores write the
+        L1D directly (no memory buffer) and broadcast on the update bus.
+        Every other unit is frozen until the next parallel region, so the
+        blocks a broadcast can update are fixed for the invocation: their
+        set is built at the first store, and the full
+        :meth:`_FastMachine.sequential_store` probe runs only for a store
+        to one of them.  Every other broadcast is only counted.
+        """
+        eng = self.eng
+        comp = info.compiled
+        streams = eng.streams
+        seed = eng.seed
+        m = self.m
+        bp = self.bp
+        core = self.core
+        tu_id = self.tu_id
+        wrong_path = self.wrong_path
+        wrong_path_addrs = comp.wrong_path_addrs
+        load_correct = self.load_correct
+        store_correct = self.store_correct
+        load_wrong = self.load_wrong
+        wrong_fill_charge = self.wrong_fill_charge
+        l1d = self.l1d_sets
+        l1d_mask = self.l1d_mask
+        l1d_bits = self.l1d_bits
+        hit_mask = self.load_hit_mask
+        bp_table = self.bp_table
+        bp_mask = self.bp_mask
+        btb_nsets = self.btb_nsets
+        btb = self.btb_sets
+        btb_assoc = self.btb_assoc
+        replay = eng.br_replay if bp_table is not None else None
+        record = eng.br_record if bp_table is not None else None
+        br_pos = eng.br_pos
+        split_memo = eng.split_memo
+        mlp = eng.mlp
+        penalty = self.penalty
+        peer_blocks = None
+        broadcasts = 0
+        cycles = 0.0
+        nxt = None
+        for index in range(lo, hi):
+            trace = nxt if nxt is not None else comp.trace(streams, seed, index)
+            path = trace.path
+            ifetch_stall = self._fetch_code(info, path.ifetch_count)
+            future_loads = None
+            if wrong_path:
+                nxt = comp.trace(streams, seed, index + 1)
+                future_loads = nxt.load_addrs
+            load_stall = 0.0
+            store_stall = 0
+            mispredicts = 0
+            wrong_loads = 0
+            wrong_fill_lat = 0.0
+            load_addrs = trace.load_addrs
+            store_addrs = trace.store_addrs
+            branch_pcs = path.branch_pcs
+            branch_taken = path.branch_taken
+            loads_n = 0
+            hits_n = 0
+            stores_n = 0
+            btb_tm_n = 0
+            n_branches = len(branch_pcs)
+            mis_list = None
+            events = path.events
+            if replay is not None:
+                # Branch-stream replay, as in execute().
+                rec = replay[br_pos]
+                br_pos += 1
+                if rec[0] != n_branches:
+                    raise SimulationError(
+                        "fast engine: branch-stream replay misaligned "
+                        f"({rec[0]} recorded branches vs {n_branches} in path)"
+                    )
+                btb_tm_n = rec[1]
+                mis_idxs = rec[2]
+                mispredicts = len(mis_idxs)
+                if wrong_path and mis_idxs:
+                    events = rec[3]
+                    if events is None:
+                        mis = frozenset(mis_idxs)
+                        events = rec[3] = [
+                            e for e in path.events
+                            if e[0] != EV_BRANCH or e[1] in mis
+                        ]
+                else:
+                    events = rec[4]
+                    if events is None:
+                        events = rec[4] = eng.mem_events(path)
+            else:
+                if record is not None:
+                    mis_list = []
+                bp_slots, btb_sis = eng.branch_aux(path, bp_mask, btb_nsets)
+            for kind, idx in events:
+                if kind == EV_LOAD:
+                    value = load_addrs[idx]
+                    block = value >> l1d_bits
+                    s = l1d[block & l1d_mask]
+                    f = s.get(block)
+                    if f is not None and not f & hit_mask:
+                        del s[block]
+                        s[block] = f
+                        loads_n += 1
+                        hits_n += 1
+                    else:
+                        load_stall += load_correct(value) - 1
+                elif kind == EV_BRANCH:
+                    if replay is not None:
+                        burst = 0
+                        for a in wrong_path_addrs(
+                            streams, seed, trace, idx, index, future_loads
+                        ):
+                            wrong_fill_lat += load_wrong(a) - 1
+                            burst += 1
+                        wrong_loads += burst
+                        continue
+                    if bp_table is None:
+                        mispredicted = self._resolve(
+                            branch_pcs[idx], branch_taken[idx]
+                        )
+                    else:
+                        slot = bp_slots[idx]
+                        c = bp_table[slot]
+                        taken = branch_taken[idx]
+                        predicted_taken = c >= 2
+                        mispredicted = predicted_taken != taken
+                        if predicted_taken:
+                            bs = btb[btb_sis[idx]]
+                            pc = branch_pcs[idx]
+                            target = bs.get(pc)
+                            if target is None:
+                                if not mispredicted:
+                                    mispredicted = True
+                                    btb_tm_n += 1
+                            else:
+                                del bs[pc]
+                                bs[pc] = target
+                        if taken:
+                            if c < 3:
+                                bp_table[slot] = c + 1
+                            bs = btb[btb_sis[idx]]
+                            pc = branch_pcs[idx]
+                            if pc in bs:
+                                del bs[pc]
+                            elif len(bs) >= btb_assoc:
+                                del bs[next(iter(bs))]
+                            bs[pc] = pc + 8
+                        elif c > 0:
+                            bp_table[slot] = c - 1
+                    if mispredicted:
+                        mispredicts += 1
+                        if mis_list is not None:
+                            mis_list.append(idx)
+                        if wrong_path:
+                            burst = 0
+                            for a in wrong_path_addrs(
+                                streams, seed, trace, idx, index, future_loads
+                            ):
+                                wrong_fill_lat += load_wrong(a) - 1
+                                burst += 1
+                            wrong_loads += burst
+                else:  # store / target store: straight to the L1D
+                    value = store_addrs[idx]
+                    block = value >> l1d_bits
+                    s = l1d[block & l1d_mask]
+                    f = s.get(block)
+                    if f is not None:
+                        # Store hit: refresh + mark dirty, 1 cycle —
+                        # identical under every policy.
+                        del s[block]
+                        s[block] = f | DIRTY
+                        stores_n += 1
+                        hits_n += 1
+                    else:
+                        store_stall += store_correct(value) - 1
+                    if peer_blocks is None:
+                        peer_blocks = eng.peer_blocks(tu_id)
+                    if block in peer_blocks:
+                        eng.sequential_store(tu_id, value)
+                    else:
+                        broadcasts += 1
+
+            if wrong_fill_lat and wrong_fill_charge:
+                load_stall += wrong_fill_lat * wrong_fill_charge
+            if loads_n:
+                m["loads"] += loads_n
+            if stores_n:
+                m["stores"] += stores_n
+            if hits_n:
+                m["l1_hits"] += hits_n
+            if mis_list is not None:
+                record.append(
+                    [n_branches, btb_tm_n, tuple(mis_list), None, None]
+                )
+            if n_branches and bp_table is not None:
+                bp["branches"] += n_branches
+                if mispredicts:
+                    bp["mispredicts"] += mispredicts
+                if btb_tm_n:
+                    bp["btb_target_misses"] += btb_tm_n
+            core["chunks"] += 1
+            core["instructions"] += path.n_instr
+            if wrong_loads:
+                core["wrong_path_loads"] += wrong_loads
+
+            # Timing assembly, as in execute(); the region's cycles are
+            # the sum of its chunks' four stages.
+            stages = split_memo.get(id(path))
+            if stages is None:
+                stages = info.split.cycles(
+                    eng.timing.base_cycles(path.mix, info.ilp)
+                )
+                split_memo[id(path)] = stages
+            cont, tsag, comp_c, wb = stages
+            mem_stall = float(load_stall) / mlp
+            store_w = float(store_stall) * STORE_STALL_WEIGHT / mlp
+            branch_stall = float(mispredicts * penalty)
+            comp_c += mem_stall + branch_stall + float(ifetch_stall)
+            wb += store_w
+            cycles += cont + tsag + comp_c + wb
+        eng.br_pos = br_pos
+        if broadcasts:
+            eng.bus_c["store_broadcasts"] += broadcasts
+        return cycles
 
     # lint: allow(ENG002 wrong-thread driver: mirrors the oracle's scheduler loop, not one method; its load counters fuse under the tagged _load_wrong_* handlers)
     def run_wrong_thread(self, comp: CompiledRegion, info: _RegionInfo,
@@ -1385,7 +1604,7 @@ class _FastMachine:
         self.mem_memo: Dict[int, List[Tuple[int, int]]] = {}
         # Branch-stream record/replay (see _BRANCH_STREAMS): at most one
         # of the two is set.  ``br_pos`` is the replay cursor, advanced
-        # once per execute() call across all TUs.
+        # once per iteration or chunk across all TUs.
         self.br_record: Optional[_BranchStream] = None
         self.br_replay: Optional[_BranchStream] = None
         self.br_pos = 0
@@ -1459,6 +1678,22 @@ class _FastMachine:
         if updated:
             bus_c["updates_delivered"] += updated
 
+    def peer_blocks(self, head_tu: int) -> set:
+        """Every block in the L1D or sidecar of a unit other than ``head_tu``.
+
+        Only a store to one of these can deliver a bus update.  Valid for
+        as long as the peers stay frozen, i.e. one sequential-region
+        invocation.
+        """
+        blocks: set = set()
+        for tu in self.tus:
+            if tu.tu_id != head_tu:
+                for s in tu.l1d_sets.values():
+                    blocks.update(s)
+                if tu.side is not None:
+                    blocks.update(tu.side)
+        return blocks
+
     # -- regions -------------------------------------------------------
 
     def run_parallel_region(self, region, invocation: int):
@@ -1483,9 +1718,7 @@ class _FastMachine:
         for i in range(lo, hi):
             tu = tus[i % n_tus]
             trace = comp.trace(streams, seed, i)
-            cont, tsag, comp_c, wb = tu.execute(
-                info, i, trace, sequential=False, upstream_targets=prev_targets
-            )
+            cont, tsag, comp_c, wb = tu.execute(info, i, trace, prev_targets)
             first = i == lo
             fork_cost = info.fork_cost if (not first and multi_tu) else 0.0
             start, cont_end, comp_end, wb_end = compose_pipeline_step(
@@ -1512,19 +1745,10 @@ class _FastMachine:
         return region_end, hi - lo, wrong_loads
 
     def run_sequential_region(self, region, invocation: int):
-        info = self._info(region)
-        comp = info.compiled
-        tu = self.tus[self.head_tu]
         lo, hi = region.global_chunk_range(invocation)
-        cycles = 0.0
-        streams = self.streams
-        seed = self.seed
-        for c in range(lo, hi):
-            trace = comp.trace(streams, seed, c)
-            cont, tsag, comp_c, wb = tu.execute(
-                info, c, trace, sequential=True, upstream_targets=None
-            )
-            cycles += cont + tsag + comp_c + wb
+        cycles = self.tus[self.head_tu].run_sequential(
+            self._info(region), lo, hi
+        )
         return cycles, hi - lo
 
     # -- statistics ----------------------------------------------------

@@ -11,7 +11,7 @@ relative speedup (Figures 9–12, 15, 16), normalized execution time
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..common.errors import AnalysisError
@@ -166,8 +166,21 @@ class SimResult:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict:
-        """Plain-dict form (JSON-serializable)."""
-        return asdict(self)
+        """Plain-dict form (JSON-serializable), fields in declaration order.
+
+        Equal to :func:`dataclasses.asdict`, key order included, but the
+        containers are copied shallowly: ``asdict`` deep-copies every
+        nested counter and series, which no caller needs.
+        """
+        out: Dict = {}
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
+            if type(value) is dict:
+                value = dict(value)
+            elif type(value) is list:
+                value = list(value)
+            out[name] = value
+        return out
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -182,6 +195,9 @@ class SimResult:
             f"{self.total_cycles:.0f} cycles, ipc={self.ipc:.2f}, "
             f"misses={self.effective_misses})"
         )
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(SimResult))
 
 
 def require_same_workload(a: SimResult, b: SimResult) -> None:

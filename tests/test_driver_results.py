@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.common.config import SimParams
 from repro.common.errors import AnalysisError
+from repro.obs.attrib import AttributionCollector
+from repro.obs.tracer import IntervalMetrics
 from repro.sim.driver import run_program, run_simulation
 from repro.sim.results import SimResult, require_same_workload
 from repro.sim.sweep import (
@@ -126,6 +131,28 @@ class TestSimResultMath:
         assert back.total_cycles == mcf_orig.total_cycles
         assert back.counters == mcf_orig.counters
         assert "181.mcf" in mcf_orig.to_json()
+
+    def test_to_dict_matches_asdict(self):
+        # to_dict copies containers shallowly; its keys, their order and
+        # the JSON bytes cached on disk must equal dataclasses.asdict's.
+        result = run_simulation(
+            "181.mcf", named_config("wth-wp-wec"),
+            SimParams(seed=9, scale=SCALE, record_regions=True),
+            tracer=IntervalMetrics(window=2048.0),
+            attrib=AttributionCollector(),
+        )
+        assert result.counters and result.region_cycles
+        assert result.interval_series and result.attribution
+        data = result.to_dict()
+        reference = dataclasses.asdict(result)
+        assert data == reference
+        assert list(data) == list(reference)
+        assert json.dumps(data) == json.dumps(reference)
+        assert SimResult.from_dict(data) == result
+        # The copies are the result's own: mutating them leaves it intact.
+        data["counters"].clear()
+        data["region_cycles"].clear()
+        assert result.counters and result.region_cycles
 
     def test_nonpositive_cycles_rejected(self):
         with pytest.raises(AnalysisError):

@@ -1,8 +1,10 @@
 """Tests for the sweep execution engine (:mod:`repro.sim.executor`).
 
-Covers the three load-bearing guarantees:
+Covers the four load-bearing guarantees:
 
 * parallel fan-out produces results identical to the serial path;
+* cells whose keys are equal simulate once per sweep and share the
+  result, while a warm rerun still resolves every cell from the cache;
 * a cold-cache run followed by a warm-cache run returns identical
   ``SimResult``s with zero simulations executed;
 * a cell that raises in a worker reports its grid key and does not
@@ -219,6 +221,99 @@ class TestFailureSurfacing:
         assert len(outcome.results) == len(BENCHES) * len(CONFIG_LABELS)
         assert outcome.stats.failed == 1
         assert outcome.stats.failures[0].label == "orig"
+
+
+class TestInSweepSharing:
+    """Cache misses with equal keys simulate once and share the result."""
+
+    def alias_cells(self, benches=BENCHES):
+        # "orig-alias" is the very same configuration as "orig" (name
+        # included), so both labels have one key per benchmark.
+        return [
+            SweepCell(b, label, named_config(name), TINY)
+            for b in benches
+            for label, name in (("orig", "orig"), ("orig-alias", "orig"),
+                                ("vc", "vc"))
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_equal_keys_execute_once(self, tmp_path, jobs):
+        cells = self.alias_cells()
+        calls = []
+        outcome = run_cells(
+            cells, jobs=jobs, cache_dir=tmp_path,
+            progress=lambda b, l: calls.append((b, l)),
+        )
+        stats = outcome.stats
+        assert stats.cache_misses == len(cells)
+        assert stats.executed == 2 * len(BENCHES)
+        assert stats.shared == len(BENCHES)
+        assert stats.failed == 0
+        assert stats.jobs_used == jobs
+        for b in BENCHES:
+            assert outcome.results[(b, "orig-alias")] == \
+                outcome.results[(b, "orig")]
+        sources = {(r.benchmark, r.label): r.source for r in stats.records}
+        assert sources == {
+            c.grid_key: "shared" if c.label == "orig-alias" else "run"
+            for c in cells
+        }
+        shared = [r for r in stats.records if r.source == "shared"]
+        assert all(r.wall_s == 0.0 and r.host is None for r in shared)
+        assert sorted(calls) == sorted(c.grid_key for c in cells)
+        manifest = stats.to_manifest()
+        assert (manifest["executed"], manifest["shared"]) == (4, 2)
+        assert "2 shared" in stats.summary()
+        # Shared keys are one cache entry.
+        assert len(DiskCache(tmp_path)) == 2 * len(BENCHES)
+
+    def test_serial_path_simulates_once(self, monkeypatch):
+        import repro.sim.executor as executor
+
+        calls = []
+        real = executor.run_program
+
+        def counting(program, config, params, **kwargs):
+            calls.append((program.name, config.name))
+            return real(program, config, params, **kwargs)
+
+        monkeypatch.setattr(executor, "run_program", counting)
+        outcome = run_cells(self.alias_cells(["175.vpr"]), cache=False)
+        assert sorted(calls) == [("175.vpr", "orig"), ("175.vpr", "vc")]
+        # The shared cell holds exactly what the executed one returned.
+        assert outcome.results[("175.vpr", "orig-alias")] is \
+            outcome.results[("175.vpr", "orig")]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_warm_rerun_is_all_hits(self, tmp_path, jobs):
+        cells = self.alias_cells()
+        cold = run_cells(cells, jobs=jobs, cache_dir=tmp_path)
+        warm = run_cells(cells, jobs=jobs, cache_dir=tmp_path)
+        assert warm.stats.cache_hits == warm.stats.n_cells == len(cells)
+        assert (warm.stats.executed, warm.stats.shared) == (0, 0)
+        assert all(r.source == "cache" for r in warm.stats.records)
+        assert warm.results == cold.results
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_names_every_sharing_key(self, tmp_path, jobs):
+        bad = [
+            SweepCell("nosuch.bench", label, named_config("orig"), TINY)
+            for label in ("orig", "orig-alias")
+        ]
+        cells = make_cells(benches=["175.vpr"]) + bad
+        with pytest.raises(SweepError) as excinfo:
+            run_cells(cells, jobs=jobs, cache_dir=tmp_path)
+        err = excinfo.value
+        assert "(nosuch.bench, orig)" in str(err)
+        assert "(nosuch.bench, orig-alias)" in str(err)
+        assert str(err).startswith(f"2 of {len(cells)} sweep cell(s) failed")
+        stats = err.outcome.stats
+        assert stats.failed == 2
+        assert stats.executed == len(CONFIG_LABELS)
+        assert stats.shared == 0
+        assert sorted(f.label for f in err.failures) == ["orig", "orig-alias"]
+        assert len({f.key for f in err.failures}) == 1
+        assert len(err.outcome.results) == len(CONFIG_LABELS)
 
 
 class TestRunCell:

@@ -20,19 +20,28 @@ import pytest
 
 from repro.common.config import SidecarKind, SimParams
 from repro.common.errors import ConfigError
+from repro.common.rng import StreamFactory
 from repro.mem.cache import DIRTY, WRONG, SetAssocCache
 from repro.mem.hierarchy import TUMemSystem
 from repro.mem.l2 import SharedL2
 from repro.mem.layout import geometry_of
+from repro.obs.fidelity import campaign_sections
 from repro.obs.hostprof import HostProfiler
 from repro.obs.ledger import WALL_EPSILON_S, PerfRecord
 from repro.sim import executor
 from repro.sim.driver import run_simulation
-from repro.sim.executor import SweepCell, default_engine, run_cells
+from repro.sim.executor import (
+    SweepCell, config_fingerprint, default_engine, run_cells,
+)
+from repro.sim.fast.compile import compiled_region_for
 from repro.sim.fast.engine import _FastMachine
 from repro.sta.configs import named_config
+from repro.sta.machine import Machine
+from repro.sta.scheduler import Scheduler
 from repro.workloads.benchmarks import build_benchmark
 from repro.workloads.microbench import build_microbenchmark
+from repro.workloads.program import SequentialRegionSpec
+from repro.workloads.tracegen import TraceGenerator
 
 #: The differential ladder: every paper configuration plus the two
 #: wrong-execution ablations and the stream-prefetch extension — one
@@ -42,6 +51,8 @@ LADDER = (
 )
 SEEDS = (2003, 7, 42)
 SCALE = 1e-5
+#: The fidelity campaign's smoke scale.
+CAMPAIGN_SCALE = 2e-5
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -101,6 +112,85 @@ class TestBitIdentity:
         first = run_simulation(mcf_program, cfg, params, engine="fast")
         second = run_simulation(mcf_program, cfg, params, engine="fast")
         assert first.to_dict() == second.to_dict()
+
+
+def _campaign_configs():
+    """The distinct configurations of the fidelity campaign's union grid.
+
+    Labels that name an equal configuration (``orig@8tu`` is ``orig``)
+    are one simulation, so they are one case here.
+    """
+    configs = {}
+    for section in campaign_sections().values():
+        for label, cfg in section.items():
+            configs.setdefault(config_fingerprint(cfg), (label, cfg))
+    return list(configs.values())
+
+
+CAMPAIGN_CONFIGS = _campaign_configs()
+
+
+@pytest.fixture(scope="module")
+def mcf_campaign_program():
+    return build_benchmark("181.mcf", scale=CAMPAIGN_SCALE)
+
+
+class TestCampaignGrid:
+    """Bit-identity on every configuration the scorecard depends on."""
+
+    def test_distinct_config_count(self):
+        assert len(CAMPAIGN_CONFIGS) == 45
+
+    @pytest.mark.parametrize(
+        "cfg", [cfg for _label, cfg in CAMPAIGN_CONFIGS],
+        ids=[label for label, _cfg in CAMPAIGN_CONFIGS],
+    )
+    def test_campaign_config_bit_identical(self, mcf_campaign_program, cfg):
+        params = SimParams(seed=2003, scale=CAMPAIGN_SCALE)
+        oracle = run_simulation(mcf_campaign_program, cfg, params,
+                                engine="oracle")
+        fast = run_simulation(mcf_campaign_program, cfg, params, engine="fast")
+        assert fast.to_dict() == oracle.to_dict()
+
+    def test_stores_to_peer_copies_deliver_updates(self):
+        # Sequential stores to blocks the peers hold update those copies
+        # on both engines: one block sits in peer 1's L1D, another in
+        # peer 2's sidecar, and peer 3 holds neither; a third stored
+        # block is in no peer.  The fast engine finds the held ones
+        # through its per-invocation set of peer blocks; every other
+        # store is only counted.
+        program = build_benchmark("164.gzip", scale=SCALE)
+        invocation, region = next(
+            (inv, reg) for inv, reg in program.schedule()
+            if isinstance(reg, SequentialRegionSpec)
+        )
+        cfg = named_config("wth-wp-wec")
+        params = SimParams(seed=7, scale=SCALE)
+        machine = Machine(cfg, params)
+        scheduler = Scheduler(machine, TraceGenerator(StreamFactory(params.seed)))
+        eng = _FastMachine(cfg, params)
+        lo, hi = region.global_chunk_range(invocation)
+        comp = compiled_region_for(region)
+        stores = [a for c in range(lo, hi)
+                  for a in comp.trace(eng.streams, eng.seed, c).store_addrs]
+        blocks = list(dict.fromkeys(a >> eng.tus[0].l1d_bits for a in stores))
+        assert len(blocks) >= 3
+        in_l1d, in_side = blocks[:2]
+        machine.tus[1].mem.l1d.insert(in_l1d, DIRTY)
+        eng.tus[1].l1d_sets[in_l1d & eng.tus[1].l1d_mask][in_l1d] = DIRTY
+        machine.tus[2].mem.sidecar.insert(in_side, WRONG)
+        eng.tus[2].side[in_side] = WRONG
+
+        oracle = scheduler.run_sequential_region(region, invocation)
+        cycles, chunks = eng.run_sequential_region(region, invocation)
+        assert (cycles, chunks) == (oracle.cycles, oracle.iterations)
+        counters = eng.collect_stats()
+        assert counters == machine.collect_stats()
+        updates = [counters.get(f"tu{i}.mem.bus_updates", 0) for i in (1, 2, 3)]
+        assert updates[0] >= 1 and updates[1] >= 1 and updates[2] == 0
+        assert counters["bus.updates_delivered"] == sum(updates)
+        assert counters["bus.store_broadcasts"] == len(stores)
+        assert len(stores) > sum(updates)
 
 
 # ---------------------------------------------------------------------------
