@@ -209,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     diff_p = sub.add_parser(
         "diff",
         help="differential engine check: run the oracle and fast engines "
-             "on the same grid and compare full results field by field; "
-             "exit 1 on any divergence",
+             "on the same grid and compare full results field by field, "
+             "per-region records included; exit 1 on any divergence",
     )
     diff_p.add_argument("--benchmarks", default=None, metavar="NAMES",
                         help="comma-separated benchmark names "
@@ -756,7 +756,10 @@ def _cmd_diff(args) -> int:
     for bench in bench_names:
         program = build_benchmark(bench, scale=args.scale)
         for seed in seeds:
-            params = SimParams(seed=seed, scale=args.scale)
+            # Region records make every region invocation's cycles part
+            # of the comparison, not only the totals.
+            params = SimParams(seed=seed, scale=args.scale,
+                               record_regions=True)
             for cfg in configs:
                 oracle = run_program(program, cfg, params, engine="oracle")
                 fast = run_program(program, cfg, params, engine="fast")

@@ -163,7 +163,7 @@ RULES: Tuple[Rule, ...] = (
         "Config dataclasses are hashed into cache keys and ledger "
         "fingerprints: they must be frozen=True, default-immutable, "
         "mutated only in __post_init__, and must not grow runtime "
-        "observability fields (tracer/profiler/sanitizer).",
+        "observability fields (tracer/profiler/sanitizer/attrib).",
         ("repro.common.config",),
     ),
     Rule(
@@ -289,7 +289,9 @@ _MUTABLE_DEFAULT_CALLS = frozenset({"list", "dict", "set", "bytearray"})
 
 #: Runtime observability objects that must never become fields of a
 #: hashed config dataclass (they would change the cache key per run).
-_FOREIGN_CONFIG_FIELDS = frozenset({"tracer", "profiler", "sanitizer"})
+_FOREIGN_CONFIG_FIELDS = frozenset(
+    {"tracer", "profiler", "sanitizer", "attrib"}
+)
 
 
 class _Checker(ast.NodeVisitor):

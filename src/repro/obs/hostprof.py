@@ -7,8 +7,8 @@ of named section accumulators the simulator components stamp with
 ``time.perf_counter()`` pairs at coarse, already-existing boundaries:
 
 * ``scheduler.parallel`` / ``scheduler.sequential`` — one pair per
-  region invocation, timed by the run driver around the scheduler calls
-  (these enclose everything below);
+  region invocation, timed by the run driver around the region runner
+  of either engine (these enclose everything below);
 * ``tu.ifetch`` / ``tu.replay`` / ``tu.writeback`` — the cache-hierarchy
   instruction-fetch loop, the dynamic-stream replay (loads, branch
   frontend, wrong-path injection) and the store-commit loop, one pair
@@ -17,6 +17,9 @@ of named section accumulators the simulator components stamp with
 * ``tracer.emit`` — tracer overhead, measured by wrapping an attached
   tracer in :class:`TracerOverheadProxy` (only when a run is both
   traced *and* profiled).
+
+The ``tu.*`` sections are stamped by the oracle's components; the fast
+engine reports only the ``scheduler.*`` pair.
 
 Granularity is deliberately per-iteration, not per-event: an iteration
 replays hundreds of events, so the timer pairs are amortized and the

@@ -7,6 +7,15 @@ This is the main public entry point::
     result = run_simulation("181.mcf", named_config("wth-wp-wec"))
     base = run_simulation("181.mcf", named_config("orig"))
     print(result.relative_speedup_pct_vs(base))
+
+:func:`run_program` is the one run loop for both engines.  An engine
+contributes a region runner — the oracle's
+:class:`~repro.sta.scheduler.Scheduler` or the fast engine's
+``_FastMachine`` — whose ``run_parallel_region`` and
+``run_sequential_region`` return a
+:class:`~repro.sta.scheduler.RegionResult`, plus a machine that can
+reset and flatten its counters.  Warm-up, region records, profiler
+sections and result assembly live here only.
 """
 
 from __future__ import annotations
@@ -22,19 +31,15 @@ from ..obs.tracer import IntervalMetrics
 from ..sta.machine import Machine
 from ..sta.scheduler import Scheduler
 from ..workloads.benchmarks import build_benchmark
-from ..workloads.program import (
-    ParallelRegionSpec,
-    Program,
-    SequentialRegionSpec,
-)
+from ..workloads.program import ParallelRegionSpec, Program
 from ..workloads.tracegen import TraceGenerator
-from .fast import run_program_fast
+from .fast.engine import _FastMachine
 from .results import SimResult
 
 __all__ = ["ENGINES", "OBSERVER_POLICY_MSG", "run_simulation", "run_program"]
 
 #: Recognised simulation engines.  ``oracle`` is the reference
-#: event-level interpreter below; ``fast`` is the compiled trace-replay
+#: event-level interpreter; ``fast`` is the compiled trace-replay
 #: engine in :mod:`repro.sim.fast`, bit-identical on results but
 #: without event-level observer hooks.
 ENGINES = ("oracle", "fast")
@@ -53,8 +58,8 @@ OBSERVER_POLICY_MSG = (
 )
 
 
-def run_simulation(
-    benchmark: Union[str, Program],
+def run_program(
+    program: Union[str, Program],
     config: MachineConfig,
     params: SimParams = SimParams(),
     tracer=None,
@@ -63,7 +68,7 @@ def run_simulation(
     attrib=None,
     engine: Optional[str] = None,
 ) -> SimResult:
-    """Simulate ``benchmark`` (name or prebuilt program) on ``config``.
+    """Simulate ``program`` (benchmark name or prebuilt program) on ``config``.
 
     When given a name the benchmark model is built at ``params.scale``;
     passing a :class:`Program` lets callers reuse one across configs
@@ -80,15 +85,16 @@ def run_simulation(
     ``profiler`` is an optional :class:`~repro.obs.hostprof.HostProfiler`
     collecting *host* wall-clock attribution (which simulator component
     the real time went to).  Like the tracer it never touches simulated
-    state, so profiled runs are bit-identical to unprofiled ones.
+    state, so profiled runs are bit-identical to unprofiled ones.  Both
+    engines report ``scheduler.parallel`` / ``scheduler.sequential``;
+    the oracle adds its per-component ``tu.*`` sections.
 
     ``sanitizer`` is an optional :class:`~repro.lint.sanitize.Sanitizer`
     asserting the paper's architectural invariants while the run
     executes (wrong execution never writes state, WEC/L1D exclusivity,
     ring direction, cycle monotonicity).  Like the tracer/profiler it
     stays out of hashed :class:`SimParams` and is read-only on sim
-    state, so sanitized runs are bit-identical too.  Left ``None`` it is
-    auto-created when ``REPRO_SANITIZE=1`` is set in the environment.
+    state, so sanitized runs are bit-identical too.
 
     ``attrib`` is an optional
     :class:`~repro.obs.attrib.AttributionCollector` tagging every fill
@@ -101,30 +107,16 @@ def run_simulation(
     what ``None`` means) is the event-level interpreter; ``"fast"`` is
     the compiled trace-replay engine, bit-identical on every
     :class:`SimResult` field but without event-level observer hooks.
-    The driver never reads the environment (results are cached under
-    config/params fingerprints): the ``REPRO_ENGINE`` knob is resolved
-    by the executor and the CLI and passed down explicitly.
+
+    The driver reads one environment variable: with ``sanitizer`` left
+    ``None``, ``REPRO_SANITIZE=1`` creates one (on the fast engine it
+    raises the observer-policy error instead).  Everything else comes
+    in as arguments, since results are cached under config/params
+    fingerprints: the ``REPRO_ENGINE`` knob is resolved by the executor
+    and the CLI and passed down explicitly.
     """
-    if isinstance(benchmark, str):
-        program = build_benchmark(benchmark, scale=params.scale)
-    else:
-        program = benchmark
-    return run_program(program, config, params, tracer=tracer,
-                       profiler=profiler, sanitizer=sanitizer,
-                       attrib=attrib, engine=engine)
-
-
-def run_program(
-    program: Program,
-    config: MachineConfig,
-    params: SimParams = SimParams(),
-    tracer=None,
-    profiler=None,
-    sanitizer=None,
-    attrib=None,
-    engine: Optional[str] = None,
-) -> SimResult:
-    """Simulate a prebuilt :class:`Program` on ``config``."""
+    if isinstance(program, str):
+        program = build_benchmark(program, scale=params.scale)
     if engine is None:
         engine = "oracle"
     if engine not in ENGINES:
@@ -133,11 +125,8 @@ def run_program(
         )
     if engine == "fast":
         # One policy for every event-level observer (OBSERVER_POLICY_MSG
-        # above): tracer, sanitizer and attrib — whether passed as
-        # kwargs or auto-created from REPRO_SANITIZE=1 — always raise
-        # the same ConfigError naming the --engine oracle escape hatch.
-        # (Historically kwargs raised while the env sanitizer warned and
-        # fell back; three behaviours for one constraint.)
+        # above), whether passed as a kwarg or auto-created from
+        # REPRO_SANITIZE=1.
         blockers = [
             name
             for name, obs in (
@@ -152,30 +141,20 @@ def run_program(
             raise ConfigError(
                 OBSERVER_POLICY_MSG.format(names=", ".join(blockers))
             )
-        # The host profiler never touches sim state; the fast
-        # engine has no component sections, so the whole run lands
-        # in one bucket.
-        if profiler is not None:
-            t0 = time.perf_counter()  # lint: allow(DET001 host profiling; never feeds sim state)
-            result = run_program_fast(program, config, params)
-            profiler.add(
-                "engine.fast",
-                time.perf_counter() - t0,  # lint: allow(DET001 host profiling; never feeds sim state)
-            )
-            return result
-        return run_program_fast(program, config, params)
-    sanitizer = maybe_sanitizer(sanitizer)
-    machine_tracer = tracer
-    if profiler is not None and tracer is not None:
-        # Route the machine's emits through a timing proxy so tracing
-        # cost is attributed to "tracer.emit" instead of the component
-        # sections; the caller keeps its direct tracer reference.
-        machine_tracer = profiler.wrap_tracer(tracer)
-    machine = Machine(config, params, tracer=machine_tracer,
-                      profiler=profiler, sanitizer=sanitizer,
-                      attrib=attrib)
-    tracegen = TraceGenerator(StreamFactory(params.seed))
-    scheduler = Scheduler(machine, tracegen)
+        machine = runner = _FastMachine(config, params)
+        machine.bind_branch_stream(program)
+    else:
+        sanitizer = maybe_sanitizer(sanitizer)
+        machine_tracer = tracer
+        if profiler is not None and tracer is not None:
+            # Route the machine's emits through a timing proxy so tracing
+            # cost is attributed to "tracer.emit" instead of the component
+            # sections; the caller keeps its direct tracer reference.
+            machine_tracer = profiler.wrap_tracer(tracer)
+        machine = Machine(config, params, tracer=machine_tracer,
+                          profiler=profiler, sanitizer=sanitizer,
+                          attrib=attrib)
+        runner = Scheduler(machine, TraceGenerator(StreamFactory(params.seed)))
 
     total = 0.0
     par_cycles = 0.0
@@ -199,14 +178,14 @@ def run_program(
             stats_live = True
         t0 = perf_clock() if perf_clock is not None else 0.0
         if isinstance(region, ParallelRegionSpec):
-            rr = scheduler.run_parallel_region(region, invocation)
+            rr = runner.run_parallel_region(region, invocation)
             if perf_clock is not None:
                 profiler.add("scheduler.parallel", perf_clock() - t0)
             if stats_live:
                 par_cycles += rr.cycles
                 wrong_thread_loads += rr.wrong_thread_loads
         else:
-            rr = scheduler.run_sequential_region(region, invocation)
+            rr = runner.run_sequential_region(region, invocation)
             if perf_clock is not None:
                 profiler.add("scheduler.sequential", perf_clock() - t0)
             if stats_live:
@@ -225,8 +204,8 @@ def run_program(
                 }
             )
 
-    counters = machine.collect_stats()
-    instructions = sum(tu.stats["instructions"] for tu in machine.tus)
+    if engine == "fast":
+        machine.publish_branch_stream()
     interval_series = None
     if tracer is not None:
         metrics = getattr(tracer, "metrics", None)
@@ -234,34 +213,24 @@ def run_program(
             metrics = tracer
         if metrics is not None:
             interval_series = metrics.series()
-    return SimResult(
+    result = SimResult.from_counters(
+        machine.collect_stats(),
         benchmark=program.name,
         config=config.name,
         n_tus=config.n_thread_units,
         total_cycles=total,
         parallel_cycles=par_cycles,
         sequential_cycles=seq_cycles,
-        instructions=instructions,
-        l1_traffic=machine.l1_traffic,
-        l1_misses=machine.l1_misses,
-        effective_misses=machine.effective_misses,
-        wrong_loads=machine.aggregate("wrong_loads"),
         wrong_thread_loads=wrong_thread_loads,
-        sidecar_hits=machine.aggregate("sidecar_hits"),
-        prefetches=machine.aggregate("prefetches"),
-        useful_wrong_hits=machine.aggregate("useful_wrong_hits"),
-        useful_prefetch_hits=machine.aggregate("useful_prefetch_hits"),
-        branches=machine.branches,
-        mispredicts=machine.mispredicts,
-        l2_accesses=machine.l2.stats["accesses"],
-        l2_misses=machine.l2.stats["misses"],
-        counters=counters,
         region_cycles=region_records,
         seed=params.seed,
         scale=params.scale,
         interval_series=interval_series,
-        attribution=(
-            attrib.summary(instructions=instructions)
-            if attrib is not None else None
-        ),
     )
+    if attrib is not None:
+        result.attribution = attrib.summary(instructions=result.instructions)
+    return result
+
+
+#: The same function under the name the README and most callers use.
+run_simulation = run_program

@@ -38,13 +38,12 @@ from ...core.timing import STORE_STALL_WEIGHT, CoreTimingModel
 from ...isa.encoding import EV_BRANCH, EV_LOAD, EV_TSTORE
 from ...mem.cache import DIRTY, PF_FAR, PREFETCHED, WRONG
 from ...mem.layout import geometry_of
-from ...sta.scheduler import compose_pipeline_step
-from ...workloads.program import ParallelRegionSpec, Program
-from ..results import SimResult
+from ...sta.scheduler import RegionResult, compose_pipeline_step
+from ...workloads.program import Program
 from .compile import CompiledRegion, compiled_region_for
 from .streams import FastStreamFactory
 
-__all__ = ["run_program_fast"]
+__all__ = ["_FastMachine"]
 
 
 # Branch-outcome streams shared across configurations.  For a fixed
@@ -1578,12 +1577,17 @@ class _FastTU:
 
 
 class _FastMachine:
-    """All per-run state of one fast simulation."""
+    """All per-run state of one fast simulation, and its region runner.
+
+    :func:`repro.sim.driver.run_program` drives it exactly as it drives
+    the oracle's ``Scheduler`` and ``Machine``.
+    """
 
     __slots__ = (
         "cfg", "params", "l2", "tus", "bus_c", "head_tu", "n_tus",
         "streams", "seed", "timing", "mlp", "split_memo", "region_info",
         "branch_memo", "mem_memo", "br_record", "br_replay", "br_pos",
+        "br_publish",
     )
 
     def __init__(self, cfg: MachineConfig, params: SimParams) -> None:
@@ -1608,6 +1612,40 @@ class _FastMachine:
         self.br_record: Optional[_BranchStream] = None
         self.br_replay: Optional[_BranchStream] = None
         self.br_pos = 0
+        # ``(streams, key)`` a recording run publishes its stream under.
+        self.br_publish: Optional[tuple] = None
+
+    def bind_branch_stream(self, program: Program) -> None:
+        """Replay ``program``'s recorded branch stream, or record one.
+
+        Only bimodal predictors share a stream (its key is the seed, the
+        TU count and the predictor geometry); other kinds simulate the
+        predictor every run.
+        """
+        bcfg = self.cfg.tu.branch
+        if bcfg.kind != "bimodal":
+            return
+        streams = _branch_streams_for(program)
+        key = (
+            self.seed, self.n_tus,
+            bcfg.table_bits, bcfg.btb_entries, bcfg.btb_assoc,
+        )
+        recorded = streams.get(key)
+        if recorded is not None:
+            self.br_replay = recorded
+        else:
+            self.br_record = []
+            self.br_publish = (streams, key)
+
+    def publish_branch_stream(self) -> None:
+        """Share the stream this run recorded with later runs.
+
+        Called once the run has completed: a run that raised never
+        publishes a partial stream.
+        """
+        if self.br_publish is not None:
+            streams, key = self.br_publish
+            streams[key] = self.br_record
 
     def branch_aux(
         self, path, bp_mask: int, btb_nsets: int
@@ -1742,14 +1780,16 @@ class _FastMachine:
                     comp, info, wrong_iter
                 )
         self.head_tu = (hi - 1) % n_tus
-        return region_end, hi - lo, wrong_loads
+        return RegionResult(region.name, "parallel", region_end, invocation,
+                            iterations=hi - lo, wrong_thread_loads=wrong_loads)
 
     def run_sequential_region(self, region, invocation: int):
         lo, hi = region.global_chunk_range(invocation)
         cycles = self.tus[self.head_tu].run_sequential(
             self._info(region), lo, hi
         )
-        return cycles, hi - lo
+        return RegionResult(region.name, "sequential", cycles, invocation,
+                            iterations=hi - lo)
 
     # -- statistics ----------------------------------------------------
 
@@ -1780,106 +1820,3 @@ class _FastMachine:
         for group in groups:
             for k in group:
                 group[k] = 0
-
-    def aggregate(self, name: str) -> int:
-        return sum(tu.m.get(name, 0) for tu in self.tus)
-
-
-def run_program_fast(
-    program: Program,
-    config: MachineConfig,
-    params: SimParams = SimParams(),
-) -> SimResult:
-    """Fast-engine equivalent of :func:`repro.sim.driver.run_program`.
-
-    Takes no tracer/profiler/sanitizer/attrib: observers require the
-    oracle's event-level replay (the driver enforces this).  The result
-    is bit-identical to the oracle's for any program and configuration.
-    """
-    eng = _FastMachine(config, params)
-    bcfg = config.tu.branch
-    br_streams = br_key = None
-    if bcfg.kind == "bimodal":
-        br_streams = _branch_streams_for(program)
-        br_key = (
-            params.seed, config.n_thread_units,
-            bcfg.table_bits, bcfg.btb_entries, bcfg.btb_assoc,
-        )
-        recorded = br_streams.get(br_key)
-        if recorded is not None:
-            eng.br_replay = recorded
-        else:
-            eng.br_record = []
-    total = 0.0
-    par_cycles = 0.0
-    seq_cycles = 0.0
-    wrong_thread_loads = 0
-    region_records = []
-    warmup = min(params.warmup_invocations, program.n_invocations - 1)
-    stats_live = warmup == 0
-    for invocation, region in program.schedule():
-        if not stats_live and invocation >= warmup:
-            eng.reset_statistics()
-            stats_live = True
-        if isinstance(region, ParallelRegionSpec):
-            kind = "parallel"
-            cycles, iterations, wtl = eng.run_parallel_region(region, invocation)
-            if stats_live:
-                par_cycles += cycles
-                wrong_thread_loads += wtl
-        else:
-            kind = "sequential"
-            cycles, iterations = eng.run_sequential_region(region, invocation)
-            if stats_live:
-                seq_cycles += cycles
-        if not stats_live:
-            continue
-        total += cycles
-        if params.record_regions:
-            region_records.append(
-                {
-                    "name": region.name,
-                    "kind": kind,
-                    "invocation": invocation,
-                    "cycles": cycles,
-                    "iterations": iterations,
-                }
-            )
-    if eng.br_record is not None:
-        # Only a completed run publishes its stream (a raised exception
-        # above leaves the cache untouched).
-        br_streams[br_key] = eng.br_record
-    counters = eng.collect_stats()
-    instructions = sum(tu.core.get("instructions", 0) for tu in eng.tus)
-    return SimResult(
-        benchmark=program.name,
-        config=config.name,
-        n_tus=config.n_thread_units,
-        total_cycles=total,
-        parallel_cycles=par_cycles,
-        sequential_cycles=seq_cycles,
-        instructions=instructions,
-        l1_traffic=sum(
-            tu.m.get("loads", 0) + tu.m.get("stores", 0)
-            + tu.m.get("wrong_loads", 0)
-            for tu in eng.tus
-        ),
-        l1_misses=eng.aggregate("l1_misses"),
-        effective_misses=eng.aggregate("demand_fills"),
-        wrong_loads=eng.aggregate("wrong_loads"),
-        wrong_thread_loads=wrong_thread_loads,
-        sidecar_hits=eng.aggregate("sidecar_hits"),
-        prefetches=eng.aggregate("prefetches"),
-        useful_wrong_hits=eng.aggregate("useful_wrong_hits"),
-        useful_prefetch_hits=eng.aggregate("useful_prefetch_hits"),
-        branches=sum(tu.bp.get("branches", 0) for tu in eng.tus),
-        mispredicts=sum(tu.bp.get("mispredicts", 0) for tu in eng.tus),
-        l2_accesses=eng.l2.c.get("accesses", 0),
-        l2_misses=eng.l2.c.get("misses", 0),
-        counters=counters,
-        region_cycles=region_records,
-        seed=params.seed,
-        scale=params.scale,
-        interval_series=None,
-        attribution=None,
-    )

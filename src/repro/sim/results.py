@@ -189,6 +189,44 @@ class SimResult:
     def from_dict(cls, data: Dict) -> "SimResult":
         return cls(**data)
 
+    @classmethod
+    def from_counters(cls, counters: Dict[str, int], **run) -> "SimResult":
+        """Build a result whose counter-derived fields come from ``counters``.
+
+        ``counters`` is the flattened dump both engines produce
+        (``tu<i>.core|mem|bpred|membuf.*``, ``l2.*``, ``mem.*``,
+        ``bus.*``); every headline count below is a sum over it.  Two
+        engines with equal dumps therefore report equal headlines.
+        ``run`` carries the fields a dump cannot know: identity, cycle
+        totals, ``wrong_thread_loads``, region records and so on.
+        """
+        per_tu: Dict[str, int] = {}
+        for key, value in counters.items():
+            if key.startswith("tu"):
+                name = key[key.index(".") + 1:]
+                per_tu[name] = per_tu.get(name, 0) + value
+
+        def mem(name: str) -> int:
+            return per_tu.get(f"mem.{name}", 0)
+
+        return cls(
+            instructions=per_tu.get("core.instructions", 0),
+            l1_traffic=mem("loads") + mem("stores") + mem("wrong_loads"),
+            l1_misses=mem("l1_misses"),
+            effective_misses=mem("demand_fills"),
+            wrong_loads=mem("wrong_loads"),
+            sidecar_hits=mem("sidecar_hits"),
+            prefetches=mem("prefetches"),
+            useful_wrong_hits=mem("useful_wrong_hits"),
+            useful_prefetch_hits=mem("useful_prefetch_hits"),
+            branches=per_tu.get("bpred.branches", 0),
+            mispredicts=per_tu.get("bpred.mispredicts", 0),
+            l2_accesses=counters.get("l2.accesses", 0),
+            l2_misses=counters.get("l2.misses", 0),
+            counters=counters,
+            **run,
+        )
+
     def __repr__(self) -> str:
         return (
             f"SimResult({self.benchmark} on {self.config}/{self.n_tus}TU: "

@@ -92,6 +92,19 @@ class TestBitIdentity:
         fast = run_simulation(mcf_program, cfg, params, engine="fast")
         assert fast.to_dict() == oracle.to_dict()
 
+    @pytest.mark.parametrize("config_name", LADDER)
+    def test_ladder_region_records_bit_identical(self, mcf_program,
+                                                 config_name):
+        # Every region invocation, warm-up included, is recorded and
+        # compared field by field.
+        cfg = named_config(config_name)
+        params = SimParams(seed=7, scale=SCALE, record_regions=True,
+                           warmup_invocations=0)
+        oracle = run_simulation(mcf_program, cfg, params, engine="oracle")
+        fast = run_simulation(mcf_program, cfg, params, engine="fast")
+        assert len(fast.region_cycles) == len(list(mcf_program.schedule()))
+        assert fast.to_dict() == oracle.to_dict()
+
     @pytest.mark.parametrize("kind", ["random", "mixed", "chase"])
     @pytest.mark.parametrize("config_name", ["wth-wp-wec", "nlp", "stream-pf"])
     def test_microbench_workloads_bit_identical(self, kind, config_name):
@@ -182,8 +195,7 @@ class TestCampaignGrid:
         eng.tus[2].side[in_side] = WRONG
 
         oracle = scheduler.run_sequential_region(region, invocation)
-        cycles, chunks = eng.run_sequential_region(region, invocation)
-        assert (cycles, chunks) == (oracle.cycles, oracle.iterations)
+        assert eng.run_sequential_region(region, invocation) == oracle
         counters = eng.collect_stats()
         assert counters == machine.collect_stats()
         updates = [counters.get(f"tu{i}.mem.bus_updates", 0) for i in (1, 2, 3)]
@@ -233,12 +245,18 @@ class TestEngineSelection:
                            tracer=object())
 
     def test_profiler_supported_on_fast(self, mcf_program):
+        # A profiled run is bit-identical to an unprofiled one and fires
+        # the driver's scheduler sections, as on the oracle.
+        cfg = named_config("orig")
+        params = SimParams(scale=SCALE)
+        plain = run_simulation(mcf_program, cfg, params, engine="fast")
         profiler = HostProfiler()
-        run_simulation(mcf_program, named_config("orig"),
-                       SimParams(scale=SCALE), engine="fast",
-                       profiler=profiler)
+        profiled = run_simulation(mcf_program, cfg, params, engine="fast",
+                                  profiler=profiler)
+        assert profiled.to_dict() == plain.to_dict()
         snap = profiler.snapshot(1.0)
-        assert "engine.fast" in snap
+        assert snap["scheduler.parallel"]["calls"] > 0
+        assert snap["scheduler.sequential"]["calls"] > 0
 
     def test_default_engine_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)

@@ -159,6 +159,13 @@ class TestRuleCatalog:
         )
         assert "KEY001" in rules_fired(src, "repro.common.config")
 
+    def test_key001_fires_on_attrib_field(self):
+        src = (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\nclass C:\n    attrib: object = None\n"
+        )
+        assert "KEY001" in rules_fired(src, "repro.common.config")
+
     def test_key001_fires_on_mutation_outside_post_init(self):
         src = (
             "from dataclasses import dataclass\n"

@@ -136,7 +136,7 @@ class TestMachine:
         occ_before = machine.tus[0].mem.l1d.occupancy()
         machine.reset_statistics()
         assert machine.tus[0].mem.l1d.occupancy() == occ_before
-        assert machine.l1_traffic == 0
+        assert not any(machine.collect_stats().values())
 
     def test_full_reset_clears_caches(self):
         machine, sched = make()

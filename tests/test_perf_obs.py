@@ -386,12 +386,9 @@ class TestExecutorRecording:
         assert rec.context == "unit"
         assert rec.host["wall_s"] > 0
         assert rec.host["events_per_sec"] > 0
-        # The oracle profiles per component; the fast engine reports the
-        # whole run under one section.  Honour $REPRO_ENGINE so the
-        # engine=fast CI leg exercises its own profile shape.
-        section = ("engine.fast" if default_engine() == "fast"
-                   else "tu.replay")
-        assert rec.profile and section in rec.profile
+        # Both engines time every region invocation under the driver's
+        # scheduler sections.
+        assert rec.profile and "scheduler.parallel" in rec.profile
         assert rec.provenance["engine"] == default_engine()
         assert rec.provenance["code_token"]
         assert rec.provenance["config_fp"] != rec.provenance["params_fp"]
