@@ -32,6 +32,8 @@ Package layout:
 - :mod:`repro.analysis` — speedups, charts, experiment reports.
 """
 
+import importlib
+
 from .common.config import (
     BranchPredictorConfig,
     CacheConfig,
@@ -52,14 +54,38 @@ from .common.errors import (
     SweepError,
     WorkloadError,
 )
-from .sim.driver import run_program, run_simulation
-from .sim.executor import SweepCell, run_cell, run_cells
-from .sim.results import SimResult
-from .sim.sweep import run_config_axis, run_grid
-from .sta.configs import CONFIG_NAMES, named_config, table3_config
-from .sta.machine import Machine
-from .workloads.benchmarks import BENCHMARK_NAMES, benchmark_infos, build_benchmark
-from .workloads.microbench import MICROBENCH_NAMES, build_microbenchmark
+
+#: Where each lazily loaded public name lives.  ``import repro`` (and so
+#: every ``import repro.<module>``) stays free of numpy and the engines;
+#: a name loads its module on first access, e.g. ``from repro import
+#: run_simulation`` loads the driver.
+_LAZY = {
+    "run_program": "repro.sim.driver",
+    "run_simulation": "repro.sim.driver",
+    "SweepCell": "repro.sim.executor",
+    "run_cell": "repro.sim.executor",
+    "run_cells": "repro.sim.executor",
+    "SimResult": "repro.sim.results",
+    "run_config_axis": "repro.sim.sweep",
+    "run_grid": "repro.sim.sweep",
+    "CONFIG_NAMES": "repro.sta.configs",
+    "named_config": "repro.sta.configs",
+    "table3_config": "repro.sta.configs",
+    "Machine": "repro.sta.machine",
+    "BENCHMARK_NAMES": "repro.workloads.catalog",
+    "benchmark_infos": "repro.workloads.catalog",
+    "build_benchmark": "repro.workloads.benchmarks",
+    "MICROBENCH_NAMES": "repro.workloads.microbench",
+    "build_microbenchmark": "repro.workloads.microbench",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
 
 __version__ = "1.0.0"
 

@@ -1,22 +1,1 @@
 """Result analysis: speedups, charts, experiment reports."""
-
-from .plots import bar_chart, grouped_bar_chart
-from .report import ExperimentRecord, ShapeCheck, render_report
-from .speedup import (
-    normalized_times,
-    relative_speedups,
-    speedup_table_rows,
-    suite_average_speedup_pct,
-)
-
-__all__ = [
-    "bar_chart",
-    "grouped_bar_chart",
-    "ExperimentRecord",
-    "ShapeCheck",
-    "render_report",
-    "normalized_times",
-    "relative_speedups",
-    "speedup_table_rows",
-    "suite_average_speedup_pct",
-]

@@ -95,15 +95,6 @@ from .common.errors import (
     ReproError,
     WorkloadError,
 )
-from .lint.engine import lint_paths, write_baseline
-from .lint.rules import RULES
-from .lint.sanitize import ENV_VAR as SANITIZE_ENV_VAR
-from .obs.attrib import (
-    AttributionCollector,
-    explain_report,
-    explain_vs_report,
-)
-from .obs.compare import compare_records, parse_threshold
 from .obs.events import CATEGORIES
 from .obs.fidelity import (
     PERTURBATIONS,
@@ -115,8 +106,6 @@ from .obs.fidelity import (
     render_trend,
     run_campaign,
 )
-from .obs.export import write_chrome_trace, write_jsonl
-from .obs.hostprof import HostProfiler, peak_rss_kb
 from .obs.ledger import (
     Ledger,
     PerfRecord,
@@ -124,8 +113,6 @@ from .obs.ledger import (
     load_records,
     write_export,
 )
-from .obs.tracer import IntervalMetrics, RingBufferTracer
-from .sim.driver import ENGINES, run_program, run_simulation
 from .sim.executor import (
     DiskCache,
     code_version_token,
@@ -133,10 +120,17 @@ from .sim.executor import (
     default_engine,
     default_jobs,
 )
+from .sim.results import ENGINES
 from .sim.sweep import run_grid
 from .sim.tables import TextTable
 from .sta.configs import ABLATION_CONFIG_NAMES, CONFIG_NAMES, named_config
-from .workloads.benchmarks import BENCHMARK_NAMES, benchmark_infos, build_benchmark
+from .workloads.catalog import BENCHMARK_NAMES, benchmark_infos
+
+# Commands that simulate outside the sweep executor, profile, trace,
+# attribute or lint import those layers in their own bodies: the driver
+# (with numpy and both engines), the linter and the attribution layer
+# stay unloaded in a command that does not use them, such as a
+# `fidelity run` whose every cell is a cache hit.
 
 __all__ = ["main", "build_parser"]
 
@@ -640,6 +634,11 @@ def _checked(label: str, body: Callable[[], int]) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .obs.attrib import AttributionCollector
+    from .obs.export import write_chrome_trace, write_jsonl
+    from .obs.tracer import IntervalMetrics, RingBufferTracer
+    from .sim.driver import run_simulation
+
     categories = None
     if args.events:
         categories = [c.strip() for c in args.events.split(",") if c.strip()]
@@ -681,6 +680,14 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    from .obs.attrib import (
+        AttributionCollector,
+        explain_report,
+        explain_vs_report,
+    )
+    from .sim.driver import run_program
+    from .workloads.benchmarks import build_benchmark
+
     params = SimParams(seed=args.seed, scale=args.scale)
     # One prebuilt program reused across both runs (and the same seed /
     # scale), so the A/B delta is attributable to the config alone.
@@ -732,6 +739,9 @@ def _dict_diff_paths(ref, new, prefix: str = "") -> List[str]:
 
 
 def _cmd_diff(args) -> int:
+    from .sim.driver import run_program
+    from .workloads.benchmarks import build_benchmark
+
     bench_names = (
         [b.strip() for b in args.benchmarks.split(",") if b.strip()]
         if args.benchmarks else list(BENCHMARK_NAMES)
@@ -819,6 +829,11 @@ def _perf_ledger_dir(arg: Optional[str]) -> Path:
 
 
 def _cmd_perf_record(args) -> int:
+    from .obs.hostprof import HostProfiler, peak_rss_kb
+    from .obs.tracer import IntervalMetrics, RingBufferTracer
+    from .sim.driver import run_program
+    from .workloads.benchmarks import build_benchmark
+
     if args.repeat < 1:
         print("perf record: --repeat must be >= 1", file=sys.stderr)
         return 2
@@ -891,6 +906,8 @@ def _perf_side(spec: str, perf_dir: Path):
 
 
 def _cmd_perf_compare(args) -> int:
+    from .obs.compare import compare_records, parse_threshold
+
     perf_dir = _perf_ledger_dir(args.dir)
     threshold = parse_threshold(args.threshold)
     metrics = None
@@ -1042,6 +1059,8 @@ def _cmd_fidelity_run(args) -> int:
 
 
 def _cmd_fidelity_check(args) -> int:
+    from .obs.compare import parse_threshold
+
     base = load_fidelity_export(args.baseline)
     threshold = parse_threshold(args.threshold)
     if args.new:
@@ -1066,6 +1085,9 @@ def _cmd_fidelity_report(args) -> int:
 
 
 def _cmd_lint(args) -> int:
+    from .lint.engine import lint_paths, write_baseline
+    from .lint.rules import RULES
+
     if args.list_rules:
         for rule in RULES:
             scopes = ", ".join(rule.scopes) if rule.scopes else "everywhere"
@@ -1103,6 +1125,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     if getattr(args, "sanitize", False):
+        from .lint.sanitize import ENV_VAR as SANITIZE_ENV_VAR
+
         # Env-var (not kwarg) propagation so forked sweep workers and
         # every nested run_simulation pick the sanitizer up too.
         os.environ[SANITIZE_ENV_VAR] = "1"

@@ -33,28 +33,9 @@ perf ledger, and regression gate all rest on ("same config + same code
 
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalog, the allow-tag
 syntax (``# lint: allow(RULE reason)``), and the baseline workflow.
+
+The package re-exports nothing, so that the simulation driver can load
+the sanitizer without the static analyser: import from the submodules
+(``repro.lint.engine``, ``repro.lint.rules``, ``repro.lint.sarif``,
+``repro.lint.sanitize``).
 """
-
-from __future__ import annotations
-
-from .engine import LintReport, lint_paths, lint_source, load_baseline, write_baseline
-from .rules import RULES, RULES_BY_ID, Finding, Rule
-from .sanitize import Sanitizer, SanitizerError, maybe_sanitizer, sanitize_enabled
-from .sarif import render_sarif
-
-__all__ = [
-    "Finding",
-    "LintReport",
-    "RULES",
-    "RULES_BY_ID",
-    "Rule",
-    "Sanitizer",
-    "SanitizerError",
-    "lint_paths",
-    "lint_source",
-    "load_baseline",
-    "maybe_sanitizer",
-    "render_sarif",
-    "sanitize_enabled",
-    "write_baseline",
-]

@@ -12,8 +12,8 @@ next-line prefetches.
 Quickstart::
 
     from repro import run_simulation, named_config
-    from repro.obs import IntervalMetrics, RingBufferTracer
     from repro.obs.export import write_chrome_trace
+    from repro.obs.tracer import IntervalMetrics, RingBufferTracer
 
     tracer = RingBufferTracer(metrics=IntervalMetrics(window=4096))
     result = run_simulation("181.mcf", named_config("wth-wp-wec"),
@@ -45,106 +45,7 @@ summary; ``repro explain --vs`` diffs two configs.
 See ``docs/OBSERVABILITY.md`` for the event taxonomy, sampling
 semantics, the Perfetto how-to, the performance-observatory guide and
 the attribution model.
+
+The package re-exports nothing: import the submodule that holds a name,
+so that a command loads only the layers it uses.
 """
-
-from .attrib import (
-    AttributionCollector,
-    PROV_DEMAND,
-    PROV_NAMES,
-    PROV_NLP,
-    PROV_STREAM,
-    PROV_VICTIM,
-    PROV_WRONG_PATH,
-    PROV_WRONG_THREAD,
-    PROVENANCES,
-    attribution_delta,
-    explain_report,
-    explain_vs_report,
-)
-from .compare import (
-    ComparisonReport,
-    MetricComparison,
-    MetricDef,
-    METRICS,
-    compare_records,
-    compare_samples,
-    parse_threshold,
-)
-from .events import (
-    CAT_ATTRIB,
-    CAT_BRANCH,
-    CAT_MEM,
-    CAT_REGION,
-    CAT_RING,
-    CAT_THREAD,
-    CAT_WEC,
-    CATEGORIES,
-    Event,
-    KIND_CATEGORY,
-    KIND_NAMES,
-    event_to_dict,
-)
-from .export import (
-    chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .hostprof import HostProfiler, peak_rss_kb
-from .ledger import (
-    Ledger,
-    PerfRecord,
-    default_perf_dir,
-    load_records,
-    validate_export,
-    write_export,
-)
-from .tracer import IntervalMetrics, NullTracer, RingBufferTracer, Tracer
-
-__all__ = [
-    "AttributionCollector",
-    "PROV_DEMAND",
-    "PROV_NAMES",
-    "PROV_NLP",
-    "PROV_STREAM",
-    "PROV_VICTIM",
-    "PROV_WRONG_PATH",
-    "PROV_WRONG_THREAD",
-    "PROVENANCES",
-    "attribution_delta",
-    "explain_report",
-    "explain_vs_report",
-    "CAT_ATTRIB",
-    "CAT_BRANCH",
-    "CAT_MEM",
-    "CAT_REGION",
-    "CAT_RING",
-    "CAT_THREAD",
-    "CAT_WEC",
-    "CATEGORIES",
-    "Event",
-    "KIND_CATEGORY",
-    "KIND_NAMES",
-    "event_to_dict",
-    "chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "IntervalMetrics",
-    "NullTracer",
-    "RingBufferTracer",
-    "Tracer",
-    "ComparisonReport",
-    "HostProfiler",
-    "Ledger",
-    "MetricComparison",
-    "MetricDef",
-    "METRICS",
-    "PerfRecord",
-    "compare_records",
-    "compare_samples",
-    "default_perf_dir",
-    "load_records",
-    "parse_threshold",
-    "peak_rss_kb",
-    "validate_export",
-    "write_export",
-]

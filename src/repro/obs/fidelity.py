@@ -51,7 +51,7 @@ from ..common.errors import AnalysisError
 from ..sim.executor import code_version_token, config_fingerprint
 from ..sim.sweep import ResultGrid, benchmarks_of, grid_cells, run_grid
 from ..sta.configs import CONFIG_NAMES, TABLE3_ROWS, named_config, table3_config
-from ..workloads import BENCHMARK_NAMES, benchmark_infos
+from ..workloads.catalog import BENCHMARK_NAMES, benchmark_infos
 from .ledger import git_sha
 
 __all__ = [

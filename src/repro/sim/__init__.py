@@ -1,47 +1,6 @@
-"""Simulation driving, sweeps, results and table formatting."""
+"""Simulation driving, sweeps, results and table formatting.
 
-from .driver import run_program, run_simulation
-from .executor import (
-    DiskCache,
-    SweepCell,
-    SweepOutcome,
-    SweepStats,
-    cell_key,
-    config_fingerprint,
-    run_cell,
-    run_cells,
-)
-from .results import SimResult, require_same_workload
-from .sweep import (
-    ResultGrid,
-    baseline_of,
-    benchmarks_of,
-    labels_of,
-    run_config_axis,
-    run_grid,
-)
-from .tables import TextTable, format_pct, format_ratio
-
-__all__ = [
-    "run_program",
-    "run_simulation",
-    "DiskCache",
-    "SweepCell",
-    "SweepOutcome",
-    "SweepStats",
-    "cell_key",
-    "config_fingerprint",
-    "run_cell",
-    "run_cells",
-    "SimResult",
-    "require_same_workload",
-    "ResultGrid",
-    "baseline_of",
-    "benchmarks_of",
-    "labels_of",
-    "run_config_axis",
-    "run_grid",
-    "TextTable",
-    "format_pct",
-    "format_ratio",
-]
+Import the submodules directly: :mod:`~repro.sim.driver` (the run loop,
+which loads both engines and numpy), :mod:`~repro.sim.executor` (cells,
+keys, the result cache), :mod:`~repro.sim.sweep`, :mod:`~repro.sim.results`.
+"""

@@ -34,15 +34,9 @@ from ..workloads.benchmarks import build_benchmark
 from ..workloads.program import ParallelRegionSpec, Program
 from ..workloads.tracegen import TraceGenerator
 from .fast.engine import _FastMachine
-from .results import SimResult
+from .results import ENGINES, SimResult
 
-__all__ = ["ENGINES", "OBSERVER_POLICY_MSG", "run_simulation", "run_program"]
-
-#: Recognised simulation engines.  ``oracle`` is the reference
-#: event-level interpreter; ``fast`` is the compiled trace-replay
-#: engine in :mod:`repro.sim.fast`, bit-identical on results but
-#: without event-level observer hooks.
-ENGINES = ("oracle", "fast")
+__all__ = ["OBSERVER_POLICY_MSG", "run_simulation", "run_program"]
 
 #: The one observer/engine policy (docs/OBSERVABILITY.md, "Engines and
 #: observers"): every event-level observer — tracer, sanitizer (kwarg

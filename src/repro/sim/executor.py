@@ -53,25 +53,31 @@ import enum
 import gc
 import hashlib
 import json
-import multiprocessing
 import os
 import tempfile
 import time
 import traceback
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, Union,
+)
 
 from ..common.config import MachineConfig, SimParams
 from ..common.errors import AnalysisError, ConfigError, SweepError
-from ..obs.hostprof import HostProfiler, peak_rss_kb
 from ..obs.ledger import Ledger, PerfRecord, default_perf_dir
-from ..workloads.benchmarks import build_benchmark
-from ..workloads.program import Program
-from .driver import ENGINES, run_program
-from .results import SimResult
+from .results import ENGINES, SimResult
+
+if TYPE_CHECKING:
+    from ..workloads.program import Program
+
+# The driver, both engines, the benchmark models and numpy load on the
+# first cache miss (:func:`_execute_cell`), the process pool when a
+# sweep fans out; a sweep whose every cell is a cache hit loads none of
+# them.  The driver is looked up as ``driver.run_program`` at call
+# time, so a caller that rebinds ``repro.sim.driver.run_program``
+# reaches every executed cell.
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -135,8 +141,27 @@ def config_fingerprint(obj: object) -> str:
     ports, stream-prefetcher parameters, ...) always get distinct
     fingerprints.
     """
-    payload = json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+#: One sweep's canonical JSON per object: ``id(obj) -> (obj, json)``.
+KeyMemo = Dict[int, Tuple[object, str]]
+
+
+def _canonical_json(obj: object, memo: Optional[KeyMemo] = None) -> str:
+    """Compact, key-sorted JSON of :func:`_canonical` ``(obj)``.
+
+    With ``memo``, each object is canonicalised once.  The memo is keyed
+    by identity, not equality, because equal objects can canonicalise
+    differently (``0.0 == -0.0``), and it holds ``obj`` itself so that
+    the id cannot be reused while the memo lives.
+    """
+    if memo is None:
+        return json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":"))
+    entry = memo.get(id(obj))
+    if entry is None:
+        entry = memo[id(obj)] = (obj, _canonical_json(obj))
+    return entry[1]
 
 
 _code_token: Optional[str] = None
@@ -160,24 +185,29 @@ def code_version_token() -> str:
 
 
 def cell_key(
-    benchmark: str, config: MachineConfig, params: SimParams
+    benchmark: str,
+    config: MachineConfig,
+    params: SimParams,
+    memo: Optional[KeyMemo] = None,
 ) -> str:
     """Content-addressed identity of one grid cell.
 
     Covers the benchmark name, the full machine configuration, the full
     simulation parameters and the code-version token — everything
-    ``run_program`` depends on.
+    ``run_program`` depends on.  ``memo`` (one per sweep, see
+    :func:`_canonical_json`) canonicalises each config and params
+    object once however many cells share it; the key is the same
+    either way.
     """
-    payload = json.dumps(
-        {
-            "schema": CACHE_SCHEMA_VERSION,
-            "code": code_version_token(),
-            "benchmark": benchmark,
-            "config": _canonical(config),
-            "params": _canonical(params),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    # The bytes of json.dumps({"benchmark", "code", "config", "params",
+    # "schema"}, sort_keys=True, separators=(",", ":")), with the two
+    # canonical documents spliced in from the memo.
+    payload = (
+        f'{{"benchmark":{json.dumps(benchmark)},'
+        f'"code":{json.dumps(code_version_token())},'
+        f'"config":{_canonical_json(config, memo)},'
+        f'"params":{_canonical_json(params, memo)},'
+        f'"schema":{json.dumps(CACHE_SCHEMA_VERSION)}}}'
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -683,6 +713,8 @@ _worker_programs: Dict[Tuple[str, float], Program] = {}
 
 
 def _build_program(benchmark: str, scale: float) -> Program:
+    from ..workloads.benchmarks import build_benchmark
+
     key = (benchmark, scale)
     program = _worker_programs.get(key)
     if program is None:
@@ -704,10 +736,13 @@ def _execute_cell(
     the :class:`~repro.obs.hostprof.HostProfiler` section breakdown and
     the process's peak RSS.
     """
+    from ..obs.hostprof import HostProfiler, peak_rss_kb
+    from . import driver
+
     profiler = HostProfiler() if profile else None
     t0 = time.perf_counter()  # lint: allow(DET001 host wall-clock for sweep stats)
     try:
-        result = run_program(
+        result = driver.run_program(
             _build_program(benchmark, params.scale), config, params,
             profiler=profiler, engine=engine,
         )
@@ -740,6 +775,8 @@ def _execute_cell_in_worker(
 def _fork_available() -> bool:
     # fork is the only start method that is safe without a __main__ guard
     # (spawn re-imports __main__, which would re-run unguarded scripts).
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -898,8 +935,11 @@ def run_cells(
                 ))
 
     # Phase 1: cache lookups (always in-process — lookups are cheap).
+    # Grids share config and params objects across cells, so one memo
+    # canonicalises each once.
+    memo: KeyMemo = {}
     for cell in cells:
-        key = cell.key()
+        key = cell_key(cell.benchmark, cell.config, cell.params, memo)
         hit = dcache.get(key) if dcache is not None else None
         if hit is not None:
             if progress is not None:
@@ -946,6 +986,8 @@ def run_cells(
     # wrong-thread address streams are separate memo families — warming
     # ``orig`` alone would leave the first ``wp``/``wth`` cell cold.
     if to_run and (use_parallel or perf_on):
+        from . import driver
+
         warmed = set()
         for cell, _key in to_run:
             we = cell.config.wrong_exec
@@ -957,8 +999,8 @@ def run_cells(
             try:
                 program = _build_program(cell.benchmark, cell.params.scale)
                 if engine == "fast":
-                    run_program(program, cell.config, cell.params,
-                                engine="fast")
+                    driver.run_program(program, cell.config, cell.params,
+                                       engine="fast")
             # lint: allow(EXC001 warm-up is an optimisation only: a failing cell re-runs in its worker/cell and is reported there)
             except Exception:
                 pass
@@ -975,6 +1017,9 @@ def run_cells(
         gc.collect()
         gc.freeze()
     if use_parallel:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         stats.jobs_used = min(jobs, len(to_run))
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=stats.jobs_used, mp_context=ctx) as pool:

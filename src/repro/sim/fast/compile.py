@@ -190,18 +190,12 @@ class PathData:
 class FastTrace:
     """A fully bound iteration trace in engine-native (list) form."""
 
-    __slots__ = (
-        "path", "load_addrs", "load_blocks", "store_addrs", "store_blocks",
-        "targets",
-    )
+    __slots__ = ("path", "load_addrs", "store_addrs", "targets")
 
-    def __init__(self, path, load_addrs, load_blocks, store_addrs,
-                 store_blocks, targets):
+    def __init__(self, path, load_addrs, store_addrs, targets):
         self.path = path
         self.load_addrs = load_addrs
-        self.load_blocks = load_blocks
         self.store_addrs = store_addrs
-        self.store_blocks = store_blocks
         self.targets = targets
 
 
@@ -365,11 +359,7 @@ class CompiledRegion:
         load_addrs = la.tolist()
         store_addrs = sa.tolist()
         trace = FastTrace(
-            path,
-            load_addrs,
-            (la >> L1_BLOCK_BITS).tolist(),
-            store_addrs,
-            (sa >> L1_BLOCK_BITS).tolist(),
+            path, load_addrs, store_addrs,
             [store_addrs[i] for i in path.tstore_idx],
         )
         if len(per_seed) < _MAX_TRACES:

@@ -17,7 +17,15 @@ from typing import Dict, List, Optional
 from ..common.errors import AnalysisError
 from ..common.stats import normalized_time, relative_speedup_pct, speedup
 
-__all__ = ["SimResult", "require_same_workload"]
+__all__ = ["ENGINES", "SimResult", "require_same_workload"]
+
+#: Recognised simulation engines.  ``oracle`` is the reference
+#: event-level interpreter; ``fast`` is the compiled trace-replay
+#: engine in :mod:`repro.sim.fast`, bit-identical on results but
+#: without event-level observer hooks.  Defined here, beside the result
+#: both engines produce, so that the CLI and the executor can validate
+#: an engine name without loading the driver.
+ENGINES = ("oracle", "fast")
 
 
 @dataclass

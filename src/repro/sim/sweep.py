@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from ..common.config import MachineConfig, SimParams
 from ..common.errors import AnalysisError
-from ..workloads.benchmarks import BENCHMARK_NAMES
+from ..workloads.catalog import BENCHMARK_NAMES
 from .executor import SweepCell, run_cells
 from .results import SimResult
 

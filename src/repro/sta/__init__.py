@@ -1,22 +1,1 @@
 """The superthreaded architecture: machine, scheduler, configurations."""
-
-from .configs import (
-    ABLATION_CONFIG_NAMES,
-    CONFIG_NAMES,
-    TABLE3_ROWS,
-    named_config,
-    table3_config,
-)
-from .machine import Machine
-from .scheduler import RegionResult, Scheduler
-
-__all__ = [
-    "ABLATION_CONFIG_NAMES",
-    "CONFIG_NAMES",
-    "TABLE3_ROWS",
-    "named_config",
-    "table3_config",
-    "Machine",
-    "RegionResult",
-    "Scheduler",
-]

@@ -1,51 +1,10 @@
-"""Synthetic workloads: address patterns, programs, benchmarks, traces."""
+"""Synthetic workloads: address patterns, programs, benchmarks, traces.
 
-from .benchmarks import (
-    BENCHMARK_INFO,
-    BENCHMARK_NAMES,
-    benchmark_infos,
-    build_benchmark,
-)
-from .microbench import MICROBENCH_NAMES, build_microbenchmark
-from .patterns import (
-    AddressPattern,
-    HotColdPattern,
-    PointerChasePattern,
-    RandomPattern,
-    SequentialPattern,
-    StridedPattern,
-    mix64,
-)
-from .program import (
-    BenchmarkInfo,
-    ParallelRegionSpec,
-    Program,
-    RegionSpec,
-    SequentialRegionSpec,
-    WrongExecProfile,
-)
-from .tracegen import TraceGenerator, code_base_for
+Submodules are imported where they are used; the package itself loads
+only the numpy-free :mod:`~repro.workloads.catalog`, so
+``repro.workloads.BENCHMARK_NAMES`` costs no benchmark models.
+"""
 
-__all__ = [
-    "MICROBENCH_NAMES",
-    "build_microbenchmark",
-    "BENCHMARK_INFO",
-    "BENCHMARK_NAMES",
-    "benchmark_infos",
-    "build_benchmark",
-    "AddressPattern",
-    "HotColdPattern",
-    "PointerChasePattern",
-    "RandomPattern",
-    "SequentialPattern",
-    "StridedPattern",
-    "mix64",
-    "BenchmarkInfo",
-    "ParallelRegionSpec",
-    "Program",
-    "RegionSpec",
-    "SequentialRegionSpec",
-    "WrongExecProfile",
-    "TraceGenerator",
-    "code_base_for",
-]
+from .catalog import BENCHMARK_NAMES
+
+__all__ = ["BENCHMARK_NAMES"]

@@ -53,6 +53,7 @@ from ..common.errors import WorkloadError
 from ..isa.cfg import BlockSpec, BranchSpec, IterationCFG, MemSlot
 from ..isa.encoding import StageSplit
 from ..isa.instructions import InstrClass
+from .catalog import BENCHMARK_INFO, BENCHMARK_NAMES, BenchmarkInfo, benchmark_infos
 from .patterns import (
     AddressPattern,
     HotColdPattern,
@@ -61,7 +62,6 @@ from .patterns import (
     SequentialPattern,
 )
 from .program import (
-    BenchmarkInfo,
     ParallelRegionSpec,
     Program,
     SequentialRegionSpec,
@@ -94,46 +94,6 @@ _FP_MIX = {
     InstrClass.FPMULT: 0.15,
     InstrClass.OTHER: 0.10,
 }
-
-#: Table 1 — program transformations used in the manual parallelization.
-_TRANSFORMS: Dict[str, Tuple[str, ...]] = {
-    "175.vpr": ("loop unrolling", "statement reordering to increase overlap"),
-    "164.gzip": ("loop coalescing", "statement reordering to increase overlap"),
-    "181.mcf": ("loop unrolling", "statement reordering to increase overlap"),
-    "197.parser": ("loop coalescing", "loop unrolling"),
-    "183.equake": ("loop coalescing", "loop unrolling",
-                   "statement reordering to increase overlap"),
-    "177.mesa": ("loop unrolling", "statement reordering to increase overlap"),
-}
-
-#: Table 2 — whole-benchmark and targeted dynamic instruction counts (M).
-BENCHMARK_INFO: Dict[str, BenchmarkInfo] = {
-    "175.vpr": BenchmarkInfo(
-        "175.vpr", "SPEC2000/INT", "SPEC test", 1126.5, 97.2, _TRANSFORMS["175.vpr"]
-    ),
-    "164.gzip": BenchmarkInfo(
-        "164.gzip", "SPEC2000/INT", "MinneSPEC large", 1550.7, 243.6,
-        _TRANSFORMS["164.gzip"],
-    ),
-    "181.mcf": BenchmarkInfo(
-        "181.mcf", "SPEC2000/INT", "MinneSPEC large", 601.6, 217.3,
-        _TRANSFORMS["181.mcf"],
-    ),
-    "197.parser": BenchmarkInfo(
-        "197.parser", "SPEC2000/INT", "MinneSPEC medium", 514.0, 88.6,
-        _TRANSFORMS["197.parser"],
-    ),
-    "183.equake": BenchmarkInfo(
-        "183.equake", "SPEC2000/FP", "MinneSPEC large", 716.3, 152.6,
-        _TRANSFORMS["183.equake"],
-    ),
-    "177.mesa": BenchmarkInfo(
-        "177.mesa", "SPEC2000/FP", "SPEC test", 1832.1, 319.0,
-        _TRANSFORMS["177.mesa"],
-    ),
-}
-
-BENCHMARK_NAMES: Tuple[str, ...] = tuple(BENCHMARK_INFO)
 
 
 # ---------------------------------------------------------------------------
@@ -997,7 +957,3 @@ def build_benchmark(name: str, scale: float = 2e-4) -> Program:
         raise WorkloadError(f"scale {scale} outside (0, 1]")
     return _BUILDERS[name](scale)
 
-
-def benchmark_infos() -> List[BenchmarkInfo]:
-    """Table 2 metadata for all six benchmarks, in the paper's order."""
-    return [BENCHMARK_INFO[n] for n in BENCHMARK_NAMES]

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..common.errors import WorkloadError
 from ..isa.cfg import IterationCFG
 from ..isa.encoding import StageSplit
+from .catalog import BenchmarkInfo
 from .patterns import AddressPattern
 
 __all__ = [
@@ -194,30 +195,6 @@ class SequentialRegionSpec:
 
 
 RegionSpec = Union[ParallelRegionSpec, SequentialRegionSpec]
-
-
-@dataclass(frozen=True)
-class BenchmarkInfo:
-    """Table 1 + Table 2 metadata for one benchmark program."""
-
-    name: str
-    suite: str
-    input_set: str
-    whole_minstr: float        # whole-benchmark dynamic Minstructions
-    targeted_minstr: float     # instructions in the parallelized loops
-    #: Loop transformations applied in the manual parallelization (Table 1).
-    transformations: Tuple[str, ...] = ()
-
-    @property
-    def fraction_parallelized(self) -> float:
-        """Table 2's "Fraction Parallelized" column."""
-        return self.targeted_minstr / self.whole_minstr
-
-    def __post_init__(self) -> None:
-        if self.targeted_minstr > self.whole_minstr:
-            raise WorkloadError(
-                f"{self.name}: targeted instructions exceed whole-benchmark count"
-            )
 
 
 class Program:

@@ -14,6 +14,7 @@ Covers the four load-bearing guarantees:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -21,8 +22,10 @@ import pytest
 from repro import SimParams, named_config
 from repro.common.errors import ConfigError, SweepError
 from repro.sim.executor import (
+    CACHE_SCHEMA_VERSION,
     DiskCache,
     SweepCell,
+    _canonical,
     cell_key,
     code_version_token,
     config_fingerprint,
@@ -31,7 +34,8 @@ from repro.sim.executor import (
     run_cells,
 )
 from repro.sim.results import SimResult
-from repro.sim.sweep import benchmarks_of, labels_of, run_grid
+from repro.sim.sweep import benchmarks_of, grid_cells, labels_of, run_grid
+from repro.workloads import BENCHMARK_NAMES
 
 TINY = SimParams(seed=7, scale=2e-5, warmup_invocations=0)
 
@@ -93,6 +97,52 @@ class TestFingerprints:
     def test_code_token_stable_within_process(self):
         assert code_version_token() == code_version_token()
         assert len(code_version_token()) == 16
+
+
+def unmemoised_key(benchmark, config, params) -> str:
+    """The cell-key formula as written before the per-sweep memo."""
+    payload = json.dumps(
+        {
+            "schema": CACHE_SCHEMA_VERSION,
+            "code": code_version_token(),
+            "benchmark": benchmark,
+            "config": _canonical(config),
+            "params": _canonical(params),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class TestKeyMemo:
+    def test_campaign_keys_equal_the_unmemoised_formula(self):
+        from repro.obs.fidelity import campaign_sections
+
+        axis = {label: cfg for configs in campaign_sections().values()
+                for label, cfg in configs.items()}
+        cells = grid_cells(axis, list(BENCHMARK_NAMES), SimParams())
+        assert len(cells) == len(axis) * len(BENCHMARK_NAMES) == 306
+        memo = {}
+        for cell in cells:
+            key = cell_key(cell.benchmark, cell.config, cell.params, memo)
+            assert key == unmemoised_key(cell.benchmark, cell.config,
+                                         cell.params)
+            assert key == cell.key()
+        # One canonical document per distinct object: every config plus
+        # the one params object the grid shares.
+        assert len(memo) == len(axis) + 1
+
+    def test_memo_keys_by_identity_not_equality(self):
+        # 0.0 == -0.0, but the two canonicalise (and so key) differently.
+        pos = dataclasses.replace(TINY, prefetch_late_cycles=0.0)
+        neg = dataclasses.replace(TINY, prefetch_late_cycles=-0.0)
+        assert pos == neg
+        cfg = named_config("orig")
+        memo = {}
+        keys = [cell_key("181.mcf", cfg, p, memo) for p in (pos, neg)]
+        assert keys == [unmemoised_key("181.mcf", cfg, p) for p in (pos, neg)]
+        assert keys[0] != keys[1]
 
 
 class TestDiskCache:
@@ -268,16 +318,18 @@ class TestInSweepSharing:
         assert len(DiskCache(tmp_path)) == 2 * len(BENCHES)
 
     def test_serial_path_simulates_once(self, monkeypatch):
-        import repro.sim.executor as executor
+        # The executor looks run_program up on the driver module when a
+        # cell executes, so rebinding it there counts every simulation.
+        import repro.sim.driver as driver
 
         calls = []
-        real = executor.run_program
+        real = driver.run_program
 
         def counting(program, config, params, **kwargs):
             calls.append((program.name, config.name))
             return real(program, config, params, **kwargs)
 
-        monkeypatch.setattr(executor, "run_program", counting)
+        monkeypatch.setattr(driver, "run_program", counting)
         outcome = run_cells(self.alias_cells(["175.vpr"]), cache=False)
         assert sorted(calls) == [("175.vpr", "orig"), ("175.vpr", "vc")]
         # The shared cell holds exactly what the executed one returned.

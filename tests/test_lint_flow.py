@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_paths, lint_source, render_sarif
+from repro.lint.engine import lint_paths, lint_source
 from repro.lint.flow import load_project, counter_sequence, run_flow
+from repro.lint.sarif import render_sarif
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src" / "repro"
