@@ -71,7 +71,8 @@ fidelity-smoke:
 	rm -rf .perf-fidelity
 	$(PY) -m repro fidelity run --scale 2e-5 --engine fast \
 	--jobs $(BENCH_JOBS) --no-cache --dir .perf-fidelity \
-	--out FIDELITY_smoke.json --md FIDELITY_smoke.md
+	--out FIDELITY_smoke.json --md FIDELITY_smoke.md \
+	--manifest FIDELITY_smoke_manifest.json
 	$(PY) -m repro fidelity check benchmarks/FIDELITY_smoke_baseline.json \
 	--new FIDELITY_smoke.json
 

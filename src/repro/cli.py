@@ -459,6 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     frun_p.add_argument("--md", default=None, metavar="PATH",
                         help="render the measured-vs-paper markdown "
                              "report (e.g. docs/FIDELITY.md)")
+    frun_p.add_argument("--manifest", metavar="PATH", default=None,
+                        help="write the campaign sweep's JSON run manifest "
+                             "(per-cell timing and source, peak RSS)")
     add_fidelity_run_knobs(frun_p)
 
     fchk_p = fid_sub.add_parser(
@@ -1011,6 +1014,7 @@ def _fidelity_campaign(args, scale: float, seed: int,
         sections=sections,
         perturb=args.perturb,
         progress=progress,
+        manifest_path=getattr(args, "manifest", None),
     )
 
 

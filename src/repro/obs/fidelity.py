@@ -557,11 +557,13 @@ def run_campaign(
     sections: Optional[Sequence[str]] = None,
     perturb: Optional[str] = None,
     progress: Optional[Callable[[str, str], None]] = None,
+    manifest_path: Union[str, Path, None] = None,
 ) -> Dict:
     """Run the campaign grid, score every claim, return the export doc.
 
     ``sections`` restricts the grid (default: every section); claims
-    needing an unrun section score ``skipped``.
+    needing an unrun section score ``skipped``.  ``manifest_path``
+    receives the sweep's JSON run manifest.
     """
     claims = load_claims(claims_path)
     all_sections = campaign_sections()
@@ -597,6 +599,7 @@ def run_campaign(
             cache=cache,
             perf_context="fidelity",
             engine=engine,
+            manifest_path=manifest_path,
         )
     scored = evaluate_claims(claims, grid, selected)
     return {

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -84,18 +83,55 @@ def git_sha() -> str:
     """The working tree's HEAD commit (cached; empty when not a repo)."""
     global _git_sha
     if _git_sha is None:
-        try:
-            _git_sha = subprocess.run(
-                ["git", "rev-parse", "HEAD"],
-                cwd=Path(__file__).resolve().parent,
-                capture_output=True,
-                text=True,
-                timeout=5,
-                check=False,
-            ).stdout.strip()
-        except OSError:
-            _git_sha = ""
+        _git_sha = head_commit(Path(__file__).resolve().parent)
     return _git_sha
+
+
+def head_commit(start: Path) -> str:
+    """HEAD of the git repository containing ``start``, or ``""``.
+
+    Read from the repository's files — ``HEAD``, then the loose ref or
+    the ``packed-refs`` line it names — rather than by running ``git``.
+    A ``.git`` file (a worktree or submodule) names the real git
+    directory; a worktree's refs live in its ``commondir``.
+    """
+    for parent in (start, *start.parents):
+        dotgit = parent / ".git"
+        if dotgit.is_dir():
+            gitdir = dotgit
+            break
+        if dotgit.is_file():
+            text = _read(dotgit)
+            if not text.startswith("gitdir:"):
+                return ""
+            gitdir = parent / text[len("gitdir:"):].strip()
+            break
+    else:
+        return ""
+    head = _read(gitdir / "HEAD")
+    if not head.startswith("ref:"):
+        return head  # detached: the commit itself (or "" if unreadable)
+    ref = head[len("ref:"):].strip()
+    common = gitdir
+    commondir = _read(gitdir / "commondir")
+    if commondir:
+        common = gitdir / commondir
+    for base in (gitdir, common):
+        sha = _read(base / ref)
+        if sha:
+            return sha
+    for line in _read(common / "packed-refs").splitlines():
+        sha, _, name = line.partition(" ")
+        if name == ref and not sha.startswith(("#", "^")):
+            return sha
+    return ""  # a branch with no commit yet
+
+
+def _read(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8").strip()
+    except OSError:
+        return ""
 
 
 @dataclass

@@ -136,7 +136,7 @@ def run_program(
                 OBSERVER_POLICY_MSG.format(names=", ".join(blockers))
             )
         machine = runner = _FastMachine(config, params)
-        machine.bind_branch_stream(program)
+        machine.bind_program(program)
     else:
         sanitizer = maybe_sanitizer(sanitizer)
         machine_tracer = tracer

@@ -613,6 +613,10 @@ class CellRecord:
     #: Host metrics collected when perf recording is on (``wall_s``,
     #: ``peak_rss_kb``, a ``profile`` section breakdown); None otherwise.
     host: Optional[Dict] = None
+    #: An executed cell that ran first to build its benchmark's memos
+    #: (see :func:`run_cells`): its result counts like any other, but
+    #: its wall is not steady-state, so it is never perf-recorded.
+    warmup: bool = False
 
 
 @dataclass
@@ -652,6 +656,9 @@ class SweepStats:
     #: fan-out happened, or when serial execution was requested):
     #: ``"single-cell"``, ``"fork-unavailable"`` or ``"all-cells-cached"``.
     serial_fallback: Optional[str] = None
+    #: This process's peak resident set size in KiB after the sweep
+    #: (``None`` where it cannot be measured).
+    peak_rss_kb: Optional[int] = None
     records: List[CellRecord] = field(default_factory=list)
     failures: List[CellFailure] = field(default_factory=list)
 
@@ -671,6 +678,7 @@ class SweepStats:
             "shared": self.shared,
             "failed": self.failed,
             "wall_s": self.wall_s,
+            "peak_rss_kb": self.peak_rss_kb,
             "cache_root": self.cache_root,
             "cells": [dataclasses.asdict(r) for r in self.records],
             "failures": [dataclasses.asdict(f) for f in self.failures],
@@ -708,7 +716,10 @@ class SweepOutcome:
 
 #: Per-process benchmark-model memo: programs are immutable and shared
 #: across every configuration of a sweep, so each worker builds each
-#: (benchmark, scale) model at most once.
+#: (benchmark, scale) model at most once.  A program also owns the fast
+#: engine's memos of it; the serial path of :func:`run_cells` drops it
+#: after its benchmark's last cell, so memory holds one benchmark's
+#: memos at a time.
 _worker_programs: Dict[Tuple[str, float], Program] = {}
 
 
@@ -732,7 +743,8 @@ def _execute_cell(
     Returns ``("ok", result, host_dict)`` or ``("err", message, tb)``;
     exceptions never propagate so that one bad cell cannot take down a
     worker (or, in the serial path, the rest of the grid).
-    ``host_dict`` always carries ``wall_s``; with ``profile`` it adds
+    ``host_dict`` always carries ``wall_s``, the simulation's wall time
+    (building the benchmark model is not in it); with ``profile`` it adds
     the :class:`~repro.obs.hostprof.HostProfiler` section breakdown and
     the process's peak RSS.
     """
@@ -740,11 +752,11 @@ def _execute_cell(
     from . import driver
 
     profiler = HostProfiler() if profile else None
-    t0 = time.perf_counter()  # lint: allow(DET001 host wall-clock for sweep stats)
     try:
+        program = _build_program(benchmark, params.scale)
+        t0 = time.perf_counter()  # lint: allow(DET001 host wall-clock for sweep stats)
         result = driver.run_program(
-            _build_program(benchmark, params.scale), config, params,
-            profiler=profiler, engine=engine,
+            program, config, params, profiler=profiler, engine=engine,
         )
         wall_s = time.perf_counter() - t0  # lint: allow(DET001 host wall-clock for sweep stats)
         host: Dict[str, object] = {"wall_s": wall_s}
@@ -855,7 +867,8 @@ def run_cells(
         ``True``/``False`` force performance recording on/off; ``None``
         (the default) enables it when ``$REPRO_PERF_DIR`` is set.  When
         on, every *executed* cell (never a cache hit — its wall time
-        would measure a disk read — nor a shared cell) runs with a
+        would measure a disk read — nor a shared cell, nor a warm-up
+        cell, see :class:`CellRecord`) runs with a
         :class:`~repro.obs.hostprof.HostProfiler` attached and appends a
         :class:`~repro.obs.ledger.PerfRecord` to the ledger, including
         the speedup vs an ``orig``-labelled cell of the same benchmark
@@ -901,7 +914,8 @@ def run_cells(
     # group executes, the rest share its result (see ingest).
     pending: Dict[str, List[SweepCell]] = {}
 
-    def ingest(key: str, payload: Tuple[str, object, object]) -> None:
+    def ingest(key: str, payload: Tuple[str, object, object],
+               warmup: bool = False) -> None:
         status, first, second = payload
         cell, *sharers = pending[key]
         if progress is not None:
@@ -913,7 +927,7 @@ def run_cells(
             results[cell.grid_key] = result
             records[cell.grid_key] = CellRecord(
                 cell.benchmark, cell.label, key, "run",
-                float(host["wall_s"]), host=host,
+                float(host["wall_s"]), host=host, warmup=warmup,
             )
             stats.executed += 1
             if dcache is not None:
@@ -975,51 +989,58 @@ def run_cells(
             RuntimeWarning,
             stacklevel=2,
         )
-    # Warm-up pass, two reasons to run it.  Parallel: build each unique
-    # benchmark model (and, with the fast engine, its compile/trace/
-    # branch-stream memos) in the parent so forked workers inherit them
-    # copy-on-write instead of each rebuilding them.  Serial with perf
-    # recording on: the ledger's per-cell walls are meant to measure
-    # steady-state engine throughput, so one-time memo construction must
-    # not land in whichever cell happens to run first.  Keyed per
-    # (benchmark, scale, wrong-exec flavour) because wrong-path and
-    # wrong-thread address streams are separate memo families — warming
-    # ``orig`` alone would leave the first ``wp``/``wth`` cell cold.
-    if to_run and (use_parallel or perf_on):
-        from . import driver
-
-        warmed = set()
-        for cell, _key in to_run:
+    # Warm-up keys: with the fast engine, the first cell of each
+    # (benchmark, scale, wrong-exec flavour).  Wrong-path and
+    # wrong-thread address streams are separate memo families, so
+    # warming ``orig`` alone would leave the first ``wp``/``wth`` cell
+    # cold.  Parallel: the parent runs them and discards the results,
+    # so forked workers inherit the memos copy-on-write instead of each
+    # rebuilding them.  Serial with perf recording on: the ledger's
+    # walls are meant to measure steady-state throughput, so these
+    # cells build the memos unprofiled; each is a real cell (result,
+    # cache entry, manifest count) that is never perf-recorded.  No
+    # recorded wall includes a model build, on either engine.
+    warm: set = set()
+    if to_run and engine == "fast" and (use_parallel or perf_on):
+        flavours = set()
+        for cell, key in to_run:
             we = cell.config.wrong_exec
-            wkey = (cell.benchmark, cell.params.scale,
-                    we.wrong_path, we.wrong_thread)
-            if wkey in warmed:
-                continue
-            warmed.add(wkey)
-            try:
-                program = _build_program(cell.benchmark, cell.params.scale)
-                if engine == "fast":
-                    driver.run_program(program, cell.config, cell.params,
-                                       engine="fast")
-            # lint: allow(EXC001 warm-up is an optimisation only: a failing cell re-runs in its worker/cell and is reported there)
-            except Exception:
-                pass
-    if perf_on and to_run:
+            flavour = (cell.benchmark, cell.params.scale,
+                       we.wrong_path, we.wrong_thread)
+            if flavour not in flavours:
+                flavours.add(flavour)
+                warm.add(key)
+
+    def freeze_heap() -> None:
         # Measurement hygiene: move every object alive at this point
         # (interpreter, test harness, benchmark models, engine memos)
         # into the GC's permanent generation.  Without this, full
         # collections triggered mid-cell scan the whole long-lived heap
         # and land tens of milliseconds in whichever cell is running —
         # visible as outlier walls in the perf ledger.  After the
-        # freeze, collections only trace objects allocated by the cells
-        # themselves.  Results are unaffected; frozen objects live
-        # until process exit, which is where sweep processes end anyway.
+        # freeze, collections only trace objects allocated since.
+        # Results are unaffected, and frozen objects are still freed by
+        # reference counting: a released benchmark's memos go with it.
         gc.collect()
         gc.freeze()
+
     if use_parallel:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
+        from . import driver
+
+        for cell, key in to_run:
+            try:
+                program = _build_program(cell.benchmark, cell.params.scale)
+                if key in warm:
+                    driver.run_program(program, cell.config, cell.params,
+                                       engine=engine)
+            # lint: allow(EXC001 warm-up is an optimisation only: a failing cell re-runs in its worker and is reported there)
+            except Exception:
+                pass
+        if perf_on:
+            freeze_heap()
         stats.jobs_used = min(jobs, len(to_run))
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=stats.jobs_used, mp_context=ctx) as pool:
@@ -1045,12 +1066,25 @@ def run_cells(
                 ingest(key, payload)
     else:
         stats.jobs_used = 1
-        for cell, key in to_run:
+        if perf_on and to_run:
+            freeze_heap()
+        # A benchmark's model, and with it every fast-engine memo of
+        # it, is dropped after its last cell: the grid is read once.
+        last = {(cell.benchmark, cell.params.scale): i
+                for i, (cell, _key) in enumerate(to_run)}
+        for i, (cell, key) in enumerate(to_run):
             if progress is not None:
                 progress(cell.benchmark, cell.label)
+            warmup = key in warm
             ingest(key,
                    _execute_cell(cell.benchmark, cell.config, cell.params,
-                                 perf_on, engine))
+                                 perf_on and not warmup, engine),
+                   warmup)
+            if warmup:
+                freeze_heap()
+            model = (cell.benchmark, cell.params.scale)
+            if last[model] == i:
+                _worker_programs.pop(model, None)
 
     # Deterministic output order: the caller's cell order, not completion
     # order (labels_of/benchmarks_of rely on grid insertion order).
@@ -1061,6 +1095,9 @@ def run_cells(
     }
     stats.records = [records[c.grid_key] for c in cells if c.grid_key in records]
     stats.wall_s = time.perf_counter() - t_start  # lint: allow(DET001 host wall-clock for sweep stats)
+    from ..obs.hostprof import peak_rss_kb
+
+    stats.peak_rss_kb = peak_rss_kb()
 
     if ledger is not None:
         _record_perf(ledger, cells, ordered, records, stats, perf_context,
@@ -1092,13 +1129,15 @@ def _record_perf(
     """Append a ledger record for every cell this sweep *executed*.
 
     Cache hits are skipped: their wall time measures a disk read, not
-    the simulator.  ``speedup_pct`` is filled in when an ``orig``-labelled
+    the simulator; so are warm-up cells, whose walls include one-time
+    memo construction.  ``speedup_pct`` is filled in when an ``orig``-labelled
     cell of the same benchmark ran (or was cached) in the same sweep.
     """
     token = code_version_token()
     for cell in cells:
         record = records.get(cell.grid_key)
-        if record is None or record.source != "run" or record.host is None:
+        if (record is None or record.source != "run" or record.host is None
+                or record.warmup):
             continue
         result = results[cell.grid_key]
         baseline = results.get((cell.benchmark, "orig"))

@@ -19,15 +19,16 @@ structure:
   mixer, strided/pointer-chase indexing and the hot/cold split all map
   to exact uint64/float64 array expressions).
 
-Compiled state is attached to region objects via a ``WeakKeyDictionary``
-so it lives exactly as long as the ``Program`` that owns the regions —
-sweep grids that reuse one program across configurations hit the caches,
-and nothing leaks once the program is dropped.
+Every memo has one owner, its :class:`~repro.workloads.program.Program`:
+the program's :class:`ProgramMemo` holds the compiled regions (with their
+path, trace and wrong-path memos) and the engine's recorded branch
+streams.  Sweep grids that reuse one program across configurations hit
+the memos; nothing in them refers back to the program, so reference
+counting frees them the moment the program is dropped.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -47,7 +48,10 @@ from ...workloads.program import ParallelRegionSpec, SequentialRegionSpec
 from ...workloads.tracegen import code_base_for
 from .streams import FastStreamFactory
 
-__all__ = ["CompiledRegion", "FastTrace", "compiled_region_for"]
+__all__ = [
+    "CompiledRegion", "FastTrace", "ProgramMemo", "compiled_region_for",
+    "program_memo",
+]
 
 RegionSpec = Union[ParallelRegionSpec, SequentialRegionSpec]
 
@@ -63,9 +67,6 @@ L1_BLOCK_BITS = 6
 #: Upper bound on memoized traces per region (safety valve for huge
 #: runs; beyond it traces are rebuilt on demand instead of cached).
 _MAX_TRACES = 1 << 17
-
-#: Upper bound on memoized paths per region.
-_MAX_PATHS = 1 << 14
 
 
 class _CompiledBlock:
@@ -324,9 +325,9 @@ class CompiledRegion:
             # of the same stream, so path structure is exact by
             # construction rather than by transliteration.
             walk = self.region.cfg.walk(streams.fresh(name))
-            path = PathData(key, walk, self.region, None)
-            if len(self.paths) < _MAX_PATHS:
-                self.paths[key] = path
+            # Always memoized: the engine's per-run memos key on
+            # id(path), which must not be reused while a run lives.
+            path = self.paths[key] = PathData(key, walk, self.region, None)
         return path
 
     # -- traces --------------------------------------------------------
@@ -446,24 +447,36 @@ class CompiledRegion:
         return trace.load_addrs[:n]
 
 
-#: id(region) -> (weakref to region, CompiledRegion).  Region specs are
-#: plain (unfrozen, eq-comparing) dataclasses, so they are unhashable
-#: and cannot key a WeakKeyDictionary; we key by identity and keep a
-#: weak reference purely to notice when an id has been recycled by a
-#: new region object.  Dead entries are purged opportunistically.
-_COMPILED: Dict[int, Tuple["weakref.ref", "CompiledRegion"]] = {}
-
-
 def compiled_region_for(region: RegionSpec) -> CompiledRegion:
-    """The (cached) compiled form of ``region``."""
-    key = id(region)
-    entry = _COMPILED.get(key)
-    if entry is not None and entry[0]() is region:
-        return entry[1]
-    if len(_COMPILED) > 256:
-        dead = [k for k, (ref, _) in _COMPILED.items() if ref() is None]
-        for k in dead:
-            del _COMPILED[k]
-    compiled = CompiledRegion(region)
-    _COMPILED[key] = (weakref.ref(region), compiled)
-    return compiled
+    """The compiled form of ``region``, built afresh.
+
+    The fast engine calls this once per region of a program and keeps
+    the result in the program's :class:`ProgramMemo`.
+    """
+    return CompiledRegion(region)
+
+
+class ProgramMemo:
+    """Every fast-engine memo of one program; the program holds it.
+
+    ``regions`` maps ``id(region)`` to the region's compiled form.  The
+    compiled form holds its region, so no id in the map can be reused
+    by another object while the entry lives.  ``branch_streams`` holds
+    the branch streams recorded on this program (see
+    ``repro.sim.fast.engine``).  Nothing here refers back to the
+    program, so the memo dies with it.
+    """
+
+    __slots__ = ("regions", "branch_streams")
+
+    def __init__(self) -> None:
+        self.regions: Dict[int, CompiledRegion] = {}
+        self.branch_streams: Dict[tuple, List[list]] = {}
+
+
+def program_memo(program) -> ProgramMemo:
+    """``program``'s fast-engine memo, created on first use."""
+    memo = program.fast_memo
+    if memo is None:
+        memo = program.fast_memo = ProgramMemo()
+    return memo

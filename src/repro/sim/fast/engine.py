@@ -26,7 +26,6 @@ two engines, never tolerable noise.
 
 from __future__ import annotations
 
-import weakref
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
@@ -40,7 +39,7 @@ from ...mem.cache import DIRTY, PF_FAR, PREFETCHED, WRONG
 from ...mem.layout import geometry_of
 from ...sta.scheduler import RegionResult, compose_pipeline_step
 from ...workloads.program import Program
-from .compile import CompiledRegion, compiled_region_for
+from .compile import CompiledRegion, compiled_region_for, program_memo
 from .streams import FastStreamFactory
 
 __all__ = ["_FastMachine"]
@@ -55,12 +54,10 @@ __all__ = ["_FastMachine"]
 # first run of a sweep grid records, per iteration or chunk, the branch
 # outcomes ``(n_branches, btb_target_misses, mispredicted_indices)``;
 # every later configuration replays them, skipping predictor/BTB
-# simulation entirely.  Keyed like the compile memo: id(program) with a
-# weakref identity guard (program specs are unhashable dataclasses).
-_BRANCH_STREAMS: Dict[
-    int, Tuple["weakref.ref", Dict[tuple, List[tuple]]]
-] = {}
-
+# simulation entirely.  The streams live in the program's
+# ``ProgramMemo.branch_streams``, keyed by the rest of that tuple, and
+# die with the program.
+#
 # One record per iteration or chunk: ``[n_branches, btb_target_misses,
 # mispredicted_indices, wp_events, mem_events]``.  The last two slots
 # cache the replayed event lists (lazily filled on first use): the
@@ -69,20 +66,6 @@ _BRANCH_STREAMS: Dict[
 # keeps loads/stores plus only the mispredicted branch events,
 # mem_events drops branch events entirely.
 _BranchStream = List[list]
-
-
-def _branch_streams_for(program: Program) -> Dict[tuple, _BranchStream]:
-    key = id(program)
-    entry = _BRANCH_STREAMS.get(key)
-    if entry is not None and entry[0]() is program:
-        return entry[1]
-    if len(_BRANCH_STREAMS) > 8:
-        dead = [k for k, (ref, _) in _BRANCH_STREAMS.items() if ref() is None]
-        for k in dead:
-            del _BRANCH_STREAMS[k]
-    streams: Dict[tuple, _BranchStream] = {}
-    _BRANCH_STREAMS[key] = (weakref.ref(program), streams)
-    return streams
 
 
 class _RegionInfo:
@@ -189,10 +172,16 @@ class _FastL2:
 
 
 class _FastTU:
-    """One thread unit: L1D/L1I/sidecar, branch unit, membuf, counters."""
+    """One thread unit: L1D/L1I/sidecar, branch unit, membuf, counters.
+
+    A unit holds no reference to its machine (the region runners take
+    it as an argument) and its policy slots hold plain functions, bound
+    once per runner call: with no reference cycle, a finished run's
+    caches are freed by reference counting alone.
+    """
 
     __slots__ = (
-        "eng", "tu_id", "l2",
+        "tu_id", "l2",
         "core", "m", "bp", "mb",
         "l1d_sets", "l1d_mask", "l1d_assoc", "l1d_bits",
         "l1i_sets", "l1i_mask", "l1i_assoc", "l1i_bits",
@@ -207,13 +196,11 @@ class _FastTU:
         "load_correct", "store_correct", "load_wrong",
     )
 
-    def __init__(self, eng: "_FastMachine", tu_id: int) -> None:
-        cfg = eng.cfg
-        params = eng.params
+    def __init__(self, cfg: MachineConfig, params: SimParams, l2: _FastL2,
+                 tu_id: int) -> None:
         tu = cfg.tu
-        self.eng = eng
         self.tu_id = tu_id
-        self.l2 = eng.l2
+        self.l2 = l2
         self.core: Dict[str, int] = defaultdict(int)
         self.m: Dict[str, int] = defaultdict(int)
         self.bp: Dict[str, int] = defaultdict(int)
@@ -266,7 +253,7 @@ class _FastTU:
         )
         self.late_near = params.prefetch_late_cycles
         self.late_far = min(
-            params.prefetch_late_far_cycles, 0.75 * eng.l2.mem_latency
+            params.prefetch_late_far_cycles, 0.75 * l2.mem_latency
         )
         # ``load_hit_mask``: flag bits that make an L1D load hit take a
         # policy-specific path (flag clearing, late charge, chained
@@ -274,29 +261,29 @@ class _FastTU:
         # under every policy — refresh, count, 1 cycle — and is inlined
         # in the event loops; flagged hits drop into the policy method.
         if kind is SidecarKind.WEC:
-            self.load_correct = self._load_correct_wec
-            self.store_correct = self._store_correct_sidecar
-            self.load_wrong = self._load_wrong_wec
+            self.load_correct = _FastTU._load_correct_wec
+            self.store_correct = _FastTU._store_correct_sidecar
+            self.load_wrong = _FastTU._load_wrong_wec
             self.load_hit_mask = 0  # WEC hits never inspect flags
         elif kind is SidecarKind.VICTIM:
-            self.load_correct = self._load_correct_vc
-            self.store_correct = self._store_correct_sidecar
-            self.load_wrong = self._load_wrong_vc
+            self.load_correct = _FastTU._load_correct_vc
+            self.store_correct = _FastTU._store_correct_sidecar
+            self.load_wrong = _FastTU._load_wrong_vc
             self.load_hit_mask = WRONG
         elif kind is SidecarKind.PREFETCH:
-            self.load_correct = self._load_correct_nlp
-            self.store_correct = self._store_correct_nlp
-            self.load_wrong = self._load_wrong_nlp
+            self.load_correct = _FastTU._load_correct_nlp
+            self.store_correct = _FastTU._store_correct_nlp
+            self.load_wrong = _FastTU._load_wrong_nlp
             self.load_hit_mask = WRONG | PREFETCHED
         elif kind is SidecarKind.STREAM:
-            self.load_correct = self._load_correct_stream
-            self.store_correct = self._store_correct_nlp
-            self.load_wrong = self._load_wrong_nlp
+            self.load_correct = _FastTU._load_correct_stream
+            self.store_correct = _FastTU._store_correct_nlp
+            self.load_wrong = _FastTU._load_wrong_nlp
             self.load_hit_mask = WRONG | PREFETCHED
         else:
-            self.load_correct = self._load_correct_plain
-            self.store_correct = self._store_correct_plain
-            self.load_wrong = self._load_wrong_plain
+            self.load_correct = _FastTU._load_correct_plain
+            self.store_correct = _FastTU._store_correct_plain
+            self.load_wrong = _FastTU._load_wrong_plain
             self.load_hit_mask = WRONG
 
     # -- shared memory-system helpers ----------------------------------
@@ -1072,10 +1059,9 @@ class _FastTU:
     # -- iteration execution -------------------------------------------
 
     # lint: allow(ENG002 dispatch loop: its counters are per-iteration bookkeeping spread across the oracle pipeline, not a single method transcription; every memory counter fuses under the tagged load/store handlers it calls)
-    def execute(self, info: _RegionInfo, index: int, trace,
-                upstream_targets: Optional[List[int]]):
+    def execute(self, eng: "_FastMachine", info: _RegionInfo, index: int,
+                trace, upstream_targets: Optional[List[int]]):
         """Replay one parallel-region iteration; returns its four stage cycles."""
-        eng = self.eng
         path = trace.path
         comp = info.compiled
         m = self.m
@@ -1098,9 +1084,9 @@ class _FastTU:
         store_addrs = trace.store_addrs
         branch_pcs = path.branch_pcs
         branch_taken = path.branch_taken
-        load_correct = self.load_correct
-        store_correct = self.store_correct
-        load_wrong = self.load_wrong
+        load_correct = self.load_correct.__get__(self)
+        store_correct = self.store_correct.__get__(self)
+        load_wrong = self.load_wrong.__get__(self)
         mb_stores = self.mb_stores
         mb_upstream = self.mb_upstream
         mb_arrived = self.mb_arrived
@@ -1129,7 +1115,7 @@ class _FastTU:
         if bp_table is not None and eng.br_replay is not None:
             # Branch-stream replay: this execute()'s outcomes were
             # recorded by the sweep's first configuration (the stream is
-            # config-independent, see _BRANCH_STREAMS).  Counters are
+            # config-independent, see _BranchStream).  Counters are
             # bumped in bulk below; the event list shrinks to what the
             # memory system still needs — every branch event kept is a
             # recorded mispredict (wrong-path burst site), and without
@@ -1317,7 +1303,8 @@ class _FastTU:
         return cont, tsag, comp_c, wb
 
     # lint: allow(ENG002 sequential-region driver: replays one invocation's chunks in a single frame; its counters are the per-chunk bookkeeping execute() keeps per iteration, and every memory counter fuses under the tagged load/store handlers and the bus probe it calls)
-    def run_sequential(self, info: _RegionInfo, lo: int, hi: int) -> float:
+    def run_sequential(self, eng: "_FastMachine", info: _RegionInfo,
+                       lo: int, hi: int) -> float:
         """Replay chunks ``[lo, hi)`` of a sequential region; returns its cycles.
 
         A sequential region runs on this (head) unit alone, so one frame
@@ -1331,7 +1318,6 @@ class _FastTU:
         :meth:`_FastMachine.sequential_store` probe runs only for a store
         to one of them.  Every other broadcast is only counted.
         """
-        eng = self.eng
         comp = info.compiled
         streams = eng.streams
         seed = eng.seed
@@ -1341,9 +1327,9 @@ class _FastTU:
         tu_id = self.tu_id
         wrong_path = self.wrong_path
         wrong_path_addrs = comp.wrong_path_addrs
-        load_correct = self.load_correct
-        store_correct = self.store_correct
-        load_wrong = self.load_wrong
+        load_correct = self.load_correct.__get__(self)
+        store_correct = self.store_correct.__get__(self)
+        load_wrong = self.load_wrong.__get__(self)
         wrong_fill_charge = self.wrong_fill_charge
         l1d = self.l1d_sets
         l1d_mask = self.l1d_mask
@@ -1549,10 +1535,9 @@ class _FastTU:
         return cycles
 
     # lint: allow(ENG002 wrong-thread driver: mirrors the oracle's scheduler loop, not one method; its load counters fuse under the tagged _load_wrong_* handlers)
-    def run_wrong_thread(self, comp: CompiledRegion, info: _RegionInfo,
-                         start_iter: int) -> int:
-        eng = self.eng
-        load_wrong = self.load_wrong
+    def run_wrong_thread(self, eng: "_FastMachine", comp: CompiledRegion,
+                         info: _RegionInfo, start_iter: int) -> int:
+        load_wrong = self.load_wrong.__get__(self)
         n = 0
         n_tus = eng.n_tus
         for round_ in range(info.wth_max_iters):
@@ -1580,14 +1565,16 @@ class _FastMachine:
     """All per-run state of one fast simulation, and its region runner.
 
     :func:`repro.sim.driver.run_program` drives it exactly as it drives
-    the oracle's ``Scheduler`` and ``Machine``.
+    the oracle's ``Scheduler`` and ``Machine``.  Its per-run memos are
+    keyed by ``id`` of compiled paths and regions, which the compile
+    memo keeps alive for at least the run.
     """
 
     __slots__ = (
         "cfg", "params", "l2", "tus", "bus_c", "head_tu", "n_tus",
         "streams", "seed", "timing", "mlp", "split_memo", "region_info",
-        "branch_memo", "mem_memo", "br_record", "br_replay", "br_pos",
-        "br_publish",
+        "branch_memo", "mem_memo", "compiled", "br_record", "br_replay",
+        "br_pos", "br_publish",
     )
 
     def __init__(self, cfg: MachineConfig, params: SimParams) -> None:
@@ -1595,7 +1582,8 @@ class _FastMachine:
         self.params = params
         self.l2 = _FastL2(cfg)
         self.n_tus = cfg.n_thread_units
-        self.tus = [_FastTU(self, i) for i in range(cfg.n_thread_units)]
+        self.tus = [_FastTU(cfg, params, self.l2, i)
+                    for i in range(cfg.n_thread_units)]
         self.bus_c: Dict[str, int] = defaultdict(int)
         self.head_tu = 0
         self.streams = FastStreamFactory(params.seed)
@@ -1606,7 +1594,10 @@ class _FastMachine:
         self.region_info: Dict[int, _RegionInfo] = {}
         self.branch_memo: Dict[int, Tuple[List[int], List[int]]] = {}
         self.mem_memo: Dict[int, List[Tuple[int, int]]] = {}
-        # Branch-stream record/replay (see _BRANCH_STREAMS): at most one
+        # id(region) -> compiled form: this run's own until bind_program
+        # hands it the program's memo.
+        self.compiled: Dict[int, CompiledRegion] = {}
+        # Branch-stream record/replay (see _BranchStream): at most one
         # of the two is set.  ``br_pos`` is the replay cursor, advanced
         # once per iteration or chunk across all TUs.
         self.br_record: Optional[_BranchStream] = None
@@ -1615,17 +1606,20 @@ class _FastMachine:
         # ``(streams, key)`` a recording run publishes its stream under.
         self.br_publish: Optional[tuple] = None
 
-    def bind_branch_stream(self, program: Program) -> None:
-        """Replay ``program``'s recorded branch stream, or record one.
+    def bind_program(self, program: Program) -> None:
+        """Use ``program``'s memo: its compiled regions, and its recorded
+        branch stream, replayed if there is one and recorded if not.
 
         Only bimodal predictors share a stream (its key is the seed, the
         TU count and the predictor geometry); other kinds simulate the
         predictor every run.
         """
+        memo = program_memo(program)
+        self.compiled = memo.regions
         bcfg = self.cfg.tu.branch
         if bcfg.kind != "bimodal":
             return
-        streams = _branch_streams_for(program)
+        streams = memo.branch_streams
         key = (
             self.seed, self.n_tus,
             bcfg.table_bits, bcfg.btb_entries, bcfg.btb_assoc,
@@ -1683,11 +1677,12 @@ class _FastMachine:
     def _info(self, region) -> _RegionInfo:
         info = self.region_info.get(id(region))
         if info is None:
+            compiled = self.compiled.get(id(region))
+            if compiled is None:
+                compiled = self.compiled[id(region)] = compiled_region_for(
+                    region)
             l1i = self.cfg.tu.l1i
-            info = _RegionInfo(
-                compiled_region_for(region), self.cfg,
-                l1i.n_sets, l1i.block_size,
-            )
+            info = _RegionInfo(compiled, self.cfg, l1i.n_sets, l1i.block_size)
             self.region_info[id(region)] = info
         return info
 
@@ -1756,7 +1751,8 @@ class _FastMachine:
         for i in range(lo, hi):
             tu = tus[i % n_tus]
             trace = comp.trace(streams, seed, i)
-            cont, tsag, comp_c, wb = tu.execute(info, i, trace, prev_targets)
+            cont, tsag, comp_c, wb = tu.execute(self, info, i, trace,
+                                                prev_targets)
             first = i == lo
             fork_cost = info.fork_cost if (not first and multi_tu) else 0.0
             start, cont_end, comp_end, wb_end = compose_pipeline_step(
@@ -1777,7 +1773,7 @@ class _FastMachine:
             for k in range(n_tus - 1):
                 wrong_iter = hi + k
                 wrong_loads += tus[wrong_iter % n_tus].run_wrong_thread(
-                    comp, info, wrong_iter
+                    self, comp, info, wrong_iter
                 )
         self.head_tu = (hi - 1) % n_tus
         return RegionResult(region.name, "parallel", region_end, invocation,
@@ -1786,7 +1782,7 @@ class _FastMachine:
     def run_sequential_region(self, region, invocation: int):
         lo, hi = region.global_chunk_range(invocation)
         cycles = self.tus[self.head_tu].run_sequential(
-            self._info(region), lo, hi
+            self, self._info(region), lo, hi
         )
         return RegionResult(region.name, "sequential", cycles, invocation,
                             iterations=hi - lo)

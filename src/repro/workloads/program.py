@@ -218,6 +218,10 @@ class Program:
         self.body: List[RegionSpec] = list(body)
         self.n_invocations = n_invocations
         self.info = info
+        #: The fast engine's memos of this program
+        #: (``repro.sim.fast.compile.ProgramMemo``), made on its first
+        #: fast run and freed with the program.
+        self.fast_memo = None
 
     @property
     def parallel_regions(self) -> List[ParallelRegionSpec]:

@@ -21,6 +21,8 @@ import pytest
 
 from repro import SimParams, named_config
 from repro.common.errors import ConfigError, SweepError
+from repro.obs.hostprof import peak_rss_kb
+from repro.obs.ledger import Ledger
 from repro.sim.executor import (
     CACHE_SCHEMA_VERSION,
     DiskCache,
@@ -572,3 +574,81 @@ class TestDefaultJobs:
         with pytest.raises(ConfigError) as excinfo:
             default_jobs()
         assert f"REPRO_JOBS={raw!r}" in str(excinfo.value)
+
+
+class TestWarmupCells:
+    """With perf recording on, the fast engine's first cell of each
+    (benchmark, scale, wrong-exec flavour) warms the memos.  It is a real
+    cell — result, cache entry, manifest count — that is never
+    perf-recorded, and no simulation runs twice."""
+
+    # orig and vc share a flavour (no wrong execution), as do wth-wp
+    # and wth-wp-wec; orig-alias shares orig's key.
+    LABELS = [("orig", "orig"), ("orig-alias", "orig"), ("vc", "vc"),
+              ("wth-wp-wec", "wth-wp-wec"), ("wth-wp", "wth-wp")]
+
+    @pytest.fixture(autouse=True)
+    def _no_env_sanitizer(self, monkeypatch):
+        # The fast engine refuses a process-wide REPRO_SANITIZE=1 (the
+        # CI sanitize leg) by design; these tests pin the engine.
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+    def cells(self):
+        return [SweepCell("181.mcf", label, named_config(name), TINY)
+                for label, name in self.LABELS]
+
+    def test_run_program_once_per_distinct_key(self, tmp_path, monkeypatch):
+        import repro.sim.driver as driver
+
+        calls = []
+        real = driver.run_program
+
+        def counting(program, config, params, **kwargs):
+            calls.append(config.name)
+            return real(program, config, params, **kwargs)
+
+        monkeypatch.setattr(driver, "run_program", counting)
+        cache_dir = tmp_path / "cache"
+        outcome = run_cells(self.cells(), cache_dir=cache_dir, perf=True,
+                            perf_dir=tmp_path / "perf", engine="fast")
+        assert sorted(calls) == ["orig", "vc", "wth-wp", "wth-wp-wec"]
+        stats = outcome.stats
+        assert (stats.executed, stats.shared) == (4, 1)
+        assert len(outcome.results) == 5
+        assert len(DiskCache(cache_dir)) == 4
+        warm = {r.label for r in stats.records if r.warmup}
+        assert warm == {"orig", "wth-wp-wec"}
+        recorded = {r.config for r in Ledger(tmp_path / "perf").records()}
+        assert recorded == {"vc", "wth-wp"}
+        cells = stats.to_manifest()["cells"]
+        assert {c["label"] for c in cells if c["warmup"]} == warm
+
+    def test_warm_cells_equal_unwarmed_results(self, tmp_path):
+        plain = run_cells(self.cells(), cache=False, perf=False,
+                          engine="fast")
+        assert not any(r.warmup for r in plain.stats.records)
+        warmed = run_cells(self.cells(), cache=False, perf=True,
+                           perf_dir=tmp_path, engine="fast")
+        assert warmed.results == plain.results
+
+    def test_parallel_path_records_every_executed_cell(self, tmp_path):
+        # The parent warms the memos its forked workers inherit; every
+        # cell then runs, and is recorded, in a worker.
+        outcome = run_cells(self.cells(), jobs=2, cache=False, perf=True,
+                            perf_dir=tmp_path, engine="fast")
+        stats = outcome.stats
+        assert (stats.executed, stats.shared, stats.failed) == (4, 1, 0)
+        assert not any(r.warmup for r in stats.records)
+        assert {r.config for r in Ledger(tmp_path).records()} == \
+            {"orig", "vc", "wth-wp", "wth-wp-wec"}
+
+
+class TestManifestMemory:
+    def test_peak_rss_recorded(self, tmp_path):
+        path = tmp_path / "m.json"
+        run_cells(make_cells(benches=["175.vpr"], labels=["orig"]),
+                  cache=False, manifest_path=path)
+        data = json.loads(path.read_text())
+        # None only where the platform cannot measure it.
+        assert (data["peak_rss_kb"] is None) == (peak_rss_kb() is None)
+        assert data["peak_rss_kb"] is None or data["peak_rss_kb"] > 0

@@ -10,7 +10,10 @@ recording under ``$REPRO_PERF_DIR``.
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,13 +36,15 @@ from repro.obs.ledger import (
     Ledger,
     PerfRecord,
     default_perf_dir,
+    git_sha,
+    head_commit,
     load_records,
     validate_export,
     write_export,
 )
 from repro.obs.tracer import RingBufferTracer
 from repro.sim.driver import run_program
-from repro.sim.executor import SweepCell, default_engine, run_cells
+from repro.sim.executor import SweepCell, run_cells
 from repro.workloads.benchmarks import build_benchmark
 
 TINY = SimParams(seed=7, scale=2e-5, warmup_invocations=0)
@@ -374,9 +379,13 @@ def _cells(*names):
 
 
 class TestExecutorRecording:
+    # Recording mechanics on the oracle engine, which records every
+    # executed cell.  The fast engine's warm-up cells, which are never
+    # recorded, are covered in tests/test_executor.py (TestWarmupCells).
     def test_records_executed_cells_with_speedup(self, tmp_path):
         run_cells(_cells("orig", "wth-wp-wec"), cache=False,
-                  perf=True, perf_dir=tmp_path, perf_context="unit")
+                  perf=True, perf_dir=tmp_path, perf_context="unit",
+                  engine="oracle")
         records = Ledger(tmp_path).records()
         assert len(records) == 2
         by_config = {r.config: r for r in records}
@@ -389,7 +398,7 @@ class TestExecutorRecording:
         # Both engines time every region invocation under the driver's
         # scheduler sections.
         assert rec.profile and "scheduler.parallel" in rec.profile
-        assert rec.provenance["engine"] == default_engine()
+        assert rec.provenance["engine"] == "oracle"
         assert rec.provenance["code_token"]
         assert rec.provenance["config_fp"] != rec.provenance["params_fp"]
 
@@ -397,14 +406,14 @@ class TestExecutorRecording:
         cache_dir = tmp_path / "cache"
         perf_dir = tmp_path / "perf"
         run_cells(_cells("orig"), cache=True, cache_dir=cache_dir,
-                  perf=True, perf_dir=perf_dir)
+                  perf=True, perf_dir=perf_dir, engine="oracle")
         run_cells(_cells("orig"), cache=True, cache_dir=cache_dir,
-                  perf=True, perf_dir=perf_dir)
+                  perf=True, perf_dir=perf_dir, engine="oracle")
         assert len(Ledger(perf_dir).records()) == 1
 
     def test_env_var_enables_recording(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PERF_DIR", str(tmp_path))
-        run_cells(_cells("orig"), cache=False)
+        run_cells(_cells("orig"), cache=False, engine="oracle")
         assert len(Ledger(tmp_path).records()) == 1
 
     def test_off_by_default(self, tmp_path, monkeypatch):
@@ -414,17 +423,80 @@ class TestExecutorRecording:
 
     def test_parallel_path_records_too(self, tmp_path):
         run_cells(_cells("orig", "wth-wp-wec", "nlp"), jobs=2, cache=False,
-                  perf=True, perf_dir=tmp_path)
+                  perf=True, perf_dir=tmp_path, engine="oracle")
         records = Ledger(tmp_path).records()
         assert len(records) == 3
         assert all(r.host["wall_s"] > 0 for r in records)
 
     def test_ledger_round_trips_through_compare(self, tmp_path):
         run_cells(_cells("orig", "wth-wp-wec"), cache=False,
-                  perf=True, perf_dir=tmp_path)
+                  perf=True, perf_dir=tmp_path, engine="oracle")
         records = Ledger(tmp_path).records()
         report = compare_records(records, records)
         assert report.regressions(0.0) == []
+
+
+def _git(cwd, *args) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+        cwd=cwd, capture_output=True, text=True, check=False,
+    )
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestHeadCommit:
+    """``head_commit`` reads what ``git rev-parse HEAD`` prints."""
+
+    def rev_parse(self, cwd) -> str:
+        proc = _git(cwd, "rev-parse", "HEAD")
+        return proc.stdout.strip() if proc.returncode == 0 else ""
+
+    @pytest.fixture
+    def repo(self, tmp_path):
+        root = tmp_path / "repo"
+        (root / "sub").mkdir(parents=True)
+        assert _git(root, "init", "-q").returncode == 0
+        for n in range(2):
+            (root / "f").write_text(str(n))
+            _git(root, "add", "f")
+            assert _git(root, "commit", "-q", "-m", str(n)).returncode == 0
+        return root
+
+    def test_loose_ref(self, repo):
+        assert len(self.rev_parse(repo)) == 40
+        assert head_commit(repo / "sub") == self.rev_parse(repo)
+
+    def test_packed_ref(self, repo):
+        assert _git(repo, "pack-refs", "--all").returncode == 0
+        branch = _git(repo, "symbolic-ref", "HEAD").stdout.strip()
+        assert not (repo / ".git" / branch).exists()
+        assert head_commit(repo) == self.rev_parse(repo)
+
+    def test_detached_head(self, repo):
+        assert _git(repo, "checkout", "-q", "--detach", "HEAD~1") \
+            .returncode == 0
+        assert head_commit(repo) == self.rev_parse(repo)
+
+    def test_worktree(self, repo, tmp_path):
+        # A worktree's .git is a file naming its git directory, and its
+        # branch ref lives in the main repository's common directory.
+        tree = tmp_path / "tree"
+        assert _git(repo, "worktree", "add", "-q", "-b", "side", str(tree),
+                    "HEAD~1").returncode == 0
+        assert (tree / ".git").is_file()
+        assert head_commit(tree) == self.rev_parse(tree)
+        assert head_commit(tree) != head_commit(repo)
+
+    def test_outside_a_repo(self, tmp_path):
+        if self.rev_parse(tmp_path):
+            pytest.skip("the temporary directory is inside a repository")
+        assert head_commit(tmp_path) == ""
+
+    def test_this_checkout(self):
+        expected = self.rev_parse(Path(__file__).resolve().parent)
+        if not expected:
+            pytest.skip("git cannot read this checkout")
+        assert git_sha() == expected
 
 
 class TestCommittedBaseline:
