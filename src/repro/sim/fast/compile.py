@@ -68,6 +68,11 @@ L1_BLOCK_BITS = 6
 #: runs; beyond it traces are rebuilt on demand instead of cached).
 _MAX_TRACES = 1 << 17
 
+#: Upper bound on memoized paths per region (beyond it a path is built
+#: on demand; the engine's per-run memos keep such a path alive for the
+#: run, so its ``id`` is never reused while they can serve it).
+_MAX_PATHS = 1 << 14
+
 
 class _CompiledBlock:
     """Static per-block data needed to replay walk decisions quickly."""
@@ -325,9 +330,9 @@ class CompiledRegion:
             # of the same stream, so path structure is exact by
             # construction rather than by transliteration.
             walk = self.region.cfg.walk(streams.fresh(name))
-            # Always memoized: the engine's per-run memos key on
-            # id(path), which must not be reused while a run lives.
-            path = self.paths[key] = PathData(key, walk, self.region, None)
+            path = PathData(key, walk, self.region, None)
+            if len(self.paths) < _MAX_PATHS:
+                self.paths[key] = path
         return path
 
     # -- traces --------------------------------------------------------

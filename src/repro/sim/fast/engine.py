@@ -1293,8 +1293,8 @@ class _FastTU:
         stages = eng.split_memo.get(base_key)
         if stages is None:
             stages = info.split.cycles(eng.timing.base_cycles(path.mix, info.ilp))
-            eng.split_memo[base_key] = stages
-        cont, tsag, comp_c, wb = stages
+            stages = eng.split_memo[base_key] = (*stages, path)
+        cont, tsag, comp_c, wb, _ = stages
         mem_stall = float(load_stall) / eng.mlp
         store_w = float(store_stall) * STORE_STALL_WEIGHT / eng.mlp
         branch_stall = float(mispredicts * self.penalty)
@@ -1521,8 +1521,8 @@ class _FastTU:
                 stages = info.split.cycles(
                     eng.timing.base_cycles(path.mix, info.ilp)
                 )
-                split_memo[id(path)] = stages
-            cont, tsag, comp_c, wb = stages
+                stages = split_memo[id(path)] = (*stages, path)
+            cont, tsag, comp_c, wb, _ = stages
             mem_stall = float(load_stall) / mlp
             store_w = float(store_stall) * STORE_STALL_WEIGHT / mlp
             branch_stall = float(mispredicts * penalty)
@@ -1590,10 +1590,13 @@ class _FastMachine:
         self.seed = params.seed
         self.timing = CoreTimingModel(cfg.tu, params)
         self.mlp = self.timing.mlp
-        self.split_memo: Dict[int, Tuple[float, float, float, float]] = {}
+        # Per-path memos, keyed by ``id(path)``.  Each value holds its
+        # path, so no id in them is reused while this run lives (a region
+        # past its path cap builds paths on demand).
+        self.split_memo: Dict[int, tuple] = {}
         self.region_info: Dict[int, _RegionInfo] = {}
-        self.branch_memo: Dict[int, Tuple[List[int], List[int]]] = {}
-        self.mem_memo: Dict[int, List[Tuple[int, int]]] = {}
+        self.branch_memo: Dict[int, tuple] = {}
+        self.mem_memo: Dict[int, tuple] = {}
         # id(region) -> compiled form: this run's own until bind_program
         # hands it the program's memo.
         self.compiled: Dict[int, CompiledRegion] = {}
@@ -1650,15 +1653,14 @@ class _FastMachine:
         and BTB set of each branch are precomputed once per path (the
         geometry is identical on every TU of one machine).
         """
-        aux = self.branch_memo.get(id(path))
-        if aux is None:
+        entry = self.branch_memo.get(id(path))
+        if entry is None:
             pcs = path.branch_pcs
-            aux = (
+            entry = self.branch_memo[id(path)] = (path, (
                 [(pc >> 2) & bp_mask for pc in pcs],
                 [(pc >> 2) % btb_nsets for pc in pcs],
-            )
-            self.branch_memo[id(path)] = aux
-        return aux
+            ))
+        return entry[1]
 
     def mem_events(self, path) -> List[Tuple[int, int]]:
         """The path's event list with branch events dropped.
@@ -1668,11 +1670,11 @@ class _FastMachine:
         event loop only needs the loads and stores, whose relative
         order is all the memory state depends on.
         """
-        evs = self.mem_memo.get(id(path))
-        if evs is None:
-            evs = [e for e in path.events if e[0] != EV_BRANCH]
-            self.mem_memo[id(path)] = evs
-        return evs
+        entry = self.mem_memo.get(id(path))
+        if entry is None:
+            entry = self.mem_memo[id(path)] = (
+                path, [e for e in path.events if e[0] != EV_BRANCH])
+        return entry[1]
 
     def _info(self, region) -> _RegionInfo:
         info = self.region_info.get(id(region))

@@ -65,10 +65,10 @@ def test_headline_numbers_in_band(tmp_path):
     ]
     # cache=False so every cell truly executes and lands in the ledger
     # (the recorder skips cache hits — their wall time is a disk read).
-    # The oracle records every executed cell; a serial fast-engine
-    # sweep leaves its warm-up cells out of the ledger.
-    run_cells(cells, cache=False, perf=True, perf_dir=tmp_path,
-              perf_context="headline-test", engine="oracle")
+    # jobs=2: the parallel path records every executed cell on either
+    # engine (a serial fast-engine sweep leaves its warm-up cells out).
+    run_cells(cells, jobs=2, cache=False, perf=True, perf_dir=tmp_path,
+              perf_context="headline-test")
     records = Ledger(tmp_path).records()
     assert len(records) == len(cells), "every executed cell must be recorded"
 

@@ -160,3 +160,24 @@ def test_program_built_after_a_release_matches_a_fresh_interpreter():
                       cache=False, engine="fast")
     result = again.results[("181.mcf", "wth-wp-wec")]
     assert as_json(result) == run_python(FRESH)["result"]
+
+
+def test_paths_past_the_cap_match_the_oracle(monkeypatch):
+    # With one memoized path and trace per region, almost every path is
+    # built on demand and dropped with its trace; the engine's per-run
+    # memos, keyed by id(path), must never serve one path's data for
+    # another that reuses its id.
+    import repro.sim.executor as executor
+    import repro.sim.fast.compile as compile_mod
+
+    monkeypatch.setattr(executor, "_worker_programs", {})
+    monkeypatch.setattr(compile_mod, "_MAX_PATHS", 1)
+    monkeypatch.setattr(compile_mod, "_MAX_TRACES", 1)
+    cells = [SweepCell(b, name, named_config(name), TINY)
+             for b in ("175.vpr", "181.mcf")
+             for name in ("orig", "wth-wp-wec")]
+    fast = run_cells(cells, cache=False, engine="fast")
+    oracle = run_cells(cells, cache=False, engine="oracle")
+    assert fast.stats.failed == 0
+    for key, result in fast.results.items():
+        assert as_json(result) == as_json(oracle.results[key]), key

@@ -44,7 +44,7 @@ from repro.obs.ledger import (
 )
 from repro.obs.tracer import RingBufferTracer
 from repro.sim.driver import run_program
-from repro.sim.executor import SweepCell, run_cells
+from repro.sim.executor import SweepCell, default_engine, run_cells
 from repro.workloads.benchmarks import build_benchmark
 
 TINY = SimParams(seed=7, scale=2e-5, warmup_invocations=0)
@@ -379,16 +379,26 @@ def _cells(*names):
 
 
 class TestExecutorRecording:
-    # Recording mechanics on the oracle engine, which records every
-    # executed cell.  The fast engine's warm-up cells, which are never
-    # recorded, are covered in tests/test_executor.py (TestWarmupCells).
+    # Runs on the default engine.  A serial fast-engine sweep leaves the
+    # first cell of each (benchmark, wrong-exec flavour) out of the
+    # ledger as a warm-up (tests/test_executor.py, TestWarmupCells), so
+    # serial sweeps here put a same-flavour cell first: vc before orig,
+    # wth-wp before wth-wp-wec.
+    LABELS = ("vc", "wth-wp", "orig", "wth-wp-wec")
+
+    @staticmethod
+    def recorded_labels(outcome) -> set:
+        return {r.label for r in outcome.stats.records
+                if r.source == "run" and not r.warmup}
+
     def test_records_executed_cells_with_speedup(self, tmp_path):
-        run_cells(_cells("orig", "wth-wp-wec"), cache=False,
-                  perf=True, perf_dir=tmp_path, perf_context="unit",
-                  engine="oracle")
+        outcome = run_cells(_cells(*self.LABELS), cache=False, perf=True,
+                            perf_dir=tmp_path, perf_context="unit")
         records = Ledger(tmp_path).records()
-        assert len(records) == 2
         by_config = {r.config: r for r in records}
+        assert len(records) == len(by_config)
+        assert set(by_config) == self.recorded_labels(outcome)
+        assert {"orig", "wth-wp-wec"} <= set(by_config)
         assert by_config["orig"].sim.get("speedup_pct") is None
         assert by_config["wth-wp-wec"].sim["speedup_pct"] > 0
         rec = by_config["wth-wp-wec"]
@@ -398,23 +408,25 @@ class TestExecutorRecording:
         # Both engines time every region invocation under the driver's
         # scheduler sections.
         assert rec.profile and "scheduler.parallel" in rec.profile
-        assert rec.provenance["engine"] == "oracle"
+        assert rec.provenance["engine"] == default_engine()
         assert rec.provenance["code_token"]
         assert rec.provenance["config_fp"] != rec.provenance["params_fp"]
 
     def test_cache_hits_are_not_recorded(self, tmp_path):
         cache_dir = tmp_path / "cache"
         perf_dir = tmp_path / "perf"
-        run_cells(_cells("orig"), cache=True, cache_dir=cache_dir,
-                  perf=True, perf_dir=perf_dir, engine="oracle")
-        run_cells(_cells("orig"), cache=True, cache_dir=cache_dir,
-                  perf=True, perf_dir=perf_dir, engine="oracle")
-        assert len(Ledger(perf_dir).records()) == 1
+        first = run_cells(_cells("vc", "orig"), cache=True,
+                          cache_dir=cache_dir, perf=True, perf_dir=perf_dir)
+        n = len(Ledger(perf_dir).records())
+        assert n == len(self.recorded_labels(first)) >= 1
+        run_cells(_cells("vc", "orig"), cache=True, cache_dir=cache_dir,
+                  perf=True, perf_dir=perf_dir)
+        assert len(Ledger(perf_dir).records()) == n
 
     def test_env_var_enables_recording(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PERF_DIR", str(tmp_path))
-        run_cells(_cells("orig"), cache=False, engine="oracle")
-        assert len(Ledger(tmp_path).records()) == 1
+        run_cells(_cells("vc", "orig"), cache=False)
+        assert "orig" in {r.config for r in Ledger(tmp_path).records()}
 
     def test_off_by_default(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_PERF_DIR", raising=False)
@@ -423,15 +435,16 @@ class TestExecutorRecording:
 
     def test_parallel_path_records_too(self, tmp_path):
         run_cells(_cells("orig", "wth-wp-wec", "nlp"), jobs=2, cache=False,
-                  perf=True, perf_dir=tmp_path, engine="oracle")
+                  perf=True, perf_dir=tmp_path)
         records = Ledger(tmp_path).records()
         assert len(records) == 3
         assert all(r.host["wall_s"] > 0 for r in records)
 
     def test_ledger_round_trips_through_compare(self, tmp_path):
-        run_cells(_cells("orig", "wth-wp-wec"), cache=False,
-                  perf=True, perf_dir=tmp_path, engine="oracle")
+        run_cells(_cells(*self.LABELS), cache=False,
+                  perf=True, perf_dir=tmp_path)
         records = Ledger(tmp_path).records()
+        assert records
         report = compare_records(records, records)
         assert report.regressions(0.0) == []
 
